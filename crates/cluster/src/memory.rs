@@ -4,15 +4,16 @@
 //! Applications in this reproduction move *actual data* — the hashtable
 //! stores key-value bytes, the join joins real tuples — so correctness is
 //! checkable, while all timing comes from the device models. A backed
-//! region is a vector of fixed-size chunk slots ([`CHUNK_BYTES`] = 64
-//! KiB); registration allocates only the slot table, never the bytes.
-//! An untouched chunk reads as zeros (served from one static zero page,
-//! like the kernel's shared zero page); the first write of *non-zero*
-//! bytes materializes it. Writing zeros into an unmaterialized chunk is
-//! elided — the chunk already reads as zeros, so eliding is
-//! byte-identical by definition. This is what makes fleet-scale runs
-//! affordable: a 2 GiB registration costs a 256 KiB slot table, and only
-//! the chunks that ever hold non-zero data cost real memory.
+//! region is a table of fixed-size chunk slots ([`CHUNK_BYTES`] = 64
+//! KiB); registration allocates nothing. An untouched chunk reads as
+//! zeros (served from one static zero page, like the kernel's shared zero
+//! page); the first write of *non-zero* bytes materializes it, growing the
+//! slot table just far enough to hold it. Writing zeros into an
+//! unmaterialized chunk is elided — the chunk already reads as zeros, so
+//! eliding is byte-identical by definition. This is what makes
+//! fleet-scale runs affordable: a 2 GiB registration costs nothing until
+//! written, and only the chunks that ever hold non-zero data (plus the
+//! slot table up to the highest of them) cost real memory.
 //!
 //! Regions used purely as benchmark targets can still be registered
 //! *unbacked*: writes to them are timed but discarded, reads return
@@ -48,7 +49,8 @@ enum Backing {
     /// Timed but byteless (huge benchmark targets): writes are
     /// discarded, reads return zeros, atomics are refused.
     Unbacked,
-    /// Sparse chunked bytes: `None` slots read as zeros.
+    /// Sparse chunked bytes: `None` slots, and slots past the table's
+    /// end, read as zeros. The table grows only on materialization.
     Sparse(Vec<Option<Box<[u8]>>>),
 }
 
@@ -79,6 +81,34 @@ impl Region {
     fn chunk_len(&self, ci: usize) -> usize {
         (self.len - ci as u64 * CHUNK_BYTES).min(CHUNK_BYTES) as usize
     }
+
+    /// Number of chunks the registered length spans.
+    fn slots(&self) -> usize {
+        self.len.div_ceil(CHUNK_BYTES) as usize
+    }
+}
+
+/// Chunk `ci` if materialized; a slot past the table's end reads like a
+/// `None` slot, and looking never grows the table.
+fn chunk(chunks: &[Option<Box<[u8]>>], ci: usize) -> Option<&[u8]> {
+    chunks.get(ci).and_then(Option::as_deref)
+}
+
+/// The slot of chunk `ci`, growing the table to cover it — only
+/// materialization calls this. Growth doubles (amortized O(1) per chunk)
+/// but is capped at the region's `slots`, so the table never outgrows an
+/// eagerly sized one.
+fn slot_mut(
+    chunks: &mut Vec<Option<Box<[u8]>>>,
+    ci: usize,
+    slots: usize,
+) -> &mut Option<Box<[u8]>> {
+    if ci >= chunks.len() {
+        let cap = (2 * chunks.capacity()).clamp(ci + 1, slots);
+        chunks.reserve_exact(cap - chunks.len());
+        chunks.resize_with(ci + 1, || None);
+    }
+    &mut chunks[ci]
 }
 
 /// All registered regions of one machine.
@@ -102,14 +132,11 @@ impl MemoryPool {
     }
 
     /// Register a zero-initialized region of `len` bytes on `socket`.
-    /// Allocates only the chunk slot table (8 bytes per 64 KiB of
-    /// registered length) — bytes materialize on first non-zero write.
+    /// Allocates nothing beyond the region's entry in the pool — chunks
+    /// and their slots materialize on first non-zero write.
     pub fn register(&mut self, socket: usize, len: u64) -> MrId {
-        let slots = len.div_ceil(CHUNK_BYTES) as usize;
-        let mut chunks = Vec::new();
-        chunks.resize_with(slots, || None);
         self.dense += len;
-        self.insert(Region { socket, len, backing: Backing::Sparse(chunks) })
+        self.insert(Region { socket, len, backing: Backing::Sparse(Vec::new()) })
     }
 
     /// Register a region that is timed but holds no bytes (for huge
@@ -212,7 +239,7 @@ impl MemoryPool {
             let ci = (off / CHUNK_BYTES) as usize;
             let co = (off % CHUNK_BYTES) as usize;
             let n = rem.min(CHUNK_BYTES as usize - co);
-            match &chunks[ci] {
+            match chunk(chunks, ci) {
                 Some(c) => out.extend_from_slice(&c[co..co + n]),
                 None => out.resize(out.len() + n, 0),
             }
@@ -244,7 +271,7 @@ impl MemoryPool {
             return None; // crosses a chunk seam
         }
         let co = (offset % CHUNK_BYTES) as usize;
-        Some(match &chunks[ci] {
+        Some(match chunk(chunks, ci) {
             Some(c) => &c[co..co + len as usize],
             None => &ZERO_CHUNK[co..co + len as usize],
         })
@@ -299,9 +326,9 @@ impl MemoryPool {
         if (offset + len - 1) / CHUNK_BYTES != ci as u64 {
             return None; // crosses a chunk seam
         }
-        let chunk_len = r.chunk_len(ci);
+        let (chunk_len, slots) = (r.chunk_len(ci), r.slots());
         let Backing::Sparse(chunks) = &mut r.backing else { return None };
-        let chunk = chunks[ci].get_or_insert_with(|| {
+        let chunk = slot_mut(chunks, ci, slots).get_or_insert_with(|| {
             *resident += chunk_len as u64;
             vec![0u8; chunk_len].into_boxed_slice()
         });
@@ -339,8 +366,7 @@ impl MemoryPool {
             let n = (len - done).min(src_rem).min(dst_rem) as usize;
             let piece = match &src_r.backing {
                 Backing::Unbacked => None,
-                Backing::Sparse(chunks) => chunks[(so / CHUNK_BYTES) as usize]
-                    .as_deref()
+                Backing::Sparse(chunks) => chunk(chunks, (so / CHUNK_BYTES) as usize)
                     .map(|c| &c[(so % CHUNK_BYTES) as usize..(so % CHUNK_BYTES) as usize + n]),
             };
             *resident += write_piece(dst_r, doff, n, piece);
@@ -399,7 +425,7 @@ impl MemoryPool {
         let ci = (offset / CHUNK_BYTES) as usize;
         let co = (offset % CHUNK_BYTES) as usize;
         if co + 8 <= CHUNK_BYTES as usize {
-            match &chunks[ci] {
+            match chunk(chunks, ci) {
                 Some(c) => u64::from_le_bytes(c[co..co + 8].try_into().expect("8 bytes")),
                 None => 0,
             }
@@ -409,7 +435,7 @@ impl MemoryPool {
             let mut buf = [0u8; 8];
             for (i, b) in buf.iter_mut().enumerate() {
                 let o = offset + i as u64;
-                if let Some(c) = &chunks[(o / CHUNK_BYTES) as usize] {
+                if let Some(c) = chunk(chunks, (o / CHUNK_BYTES) as usize) {
                     *b = c[(o % CHUNK_BYTES) as usize];
                 }
             }
@@ -473,11 +499,11 @@ impl MemoryPool {
 fn write_piece(r: &mut Region, off: u64, len: usize, piece: Option<&[u8]>) -> u64 {
     let ci = (off / CHUNK_BYTES) as usize;
     let co = (off % CHUNK_BYTES) as usize;
-    let chunk_len = r.chunk_len(ci);
+    let (chunk_len, slots) = (r.chunk_len(ci), r.slots());
     let Backing::Sparse(chunks) = &mut r.backing else {
         unreachable!("write_piece is only called on backed regions");
     };
-    match (&mut chunks[ci], piece) {
+    match (chunks.get_mut(ci).and_then(Option::as_mut), piece) {
         (Some(c), Some(p)) => {
             c[co..co + len].copy_from_slice(p);
             0
@@ -486,13 +512,14 @@ fn write_piece(r: &mut Region, off: u64, len: usize, piece: Option<&[u8]>) -> u6
             c[co..co + len].fill(0);
             0
         }
-        (slot @ None, Some(p)) if p.iter().any(|&b| b != 0) => {
+        (None, Some(p)) if p.iter().any(|&b| b != 0) => {
             let mut c = vec![0u8; chunk_len].into_boxed_slice();
             c[co..co + len].copy_from_slice(p);
-            *slot = Some(c);
+            *slot_mut(chunks, ci, slots) = Some(c);
             chunk_len as u64
         }
-        // Zeros into an unmaterialized chunk: elided (already zeros).
+        // Zeros into an unmaterialized chunk: elided (already zeros, and
+        // the slot table does not grow for them).
         (None, _) => 0,
     }
 }

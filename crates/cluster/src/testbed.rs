@@ -788,16 +788,9 @@ fn blank_machine(cfg: &ClusterConfig) -> Machine {
 /// A placeholder machine filling non-resident (and vacated) slots around
 /// a shard split. Husks only exist to keep machine indices global; the
 /// `resident` guard panics before any verb can reach one, so they carry
-/// no ports and capacity-1 caches — `split_shards` builds
-/// `shards × machines` of them, and full-size husks would dominate the
-/// split cost for wide clusters.
+/// no ports.
 fn husk_machine(cfg: &ClusterConfig) -> Machine {
-    let rnic = rnicsim::RnicConfig {
-        ports: 0,
-        mtt_cache_entries: 1,
-        qpc_cache_entries: 1,
-        ..cfg.rnic.clone()
-    };
+    let rnic = rnicsim::RnicConfig { ports: 0, ..cfg.rnic.clone() };
     Machine {
         rnic: Rnic::new(rnic),
         mem: MemoryPool::new(),

@@ -192,6 +192,97 @@ fn sparse_pool_matches_dense_reference_model() {
     );
 }
 
+/// Assert every read path agrees with the model on `[off, off + n)`.
+fn assert_reads_match(pool: &MemoryPool, model: &DenseModel, mr: MrId, off: u64, n: u64) {
+    let expect = model.read(mr, off, n);
+    assert_eq!(pool.read(mr, off, n), expect, "read at {off}+{n}");
+    let mut out = Vec::new();
+    pool.read_into(mr, off, n, &mut out);
+    assert_eq!(out, expect, "read_into at {off}+{n}");
+    let mut scratch = Vec::new();
+    assert_eq!(pool.read_view(mr, off, n, &mut scratch).unwrap(), expect, "read_view at {off}");
+    if let Some(s) = pool.try_slice(mr, off, n) {
+        assert_eq!(s, expect, "try_slice at {off}+{n}");
+    }
+    if n >= 8 {
+        let word = u64::from_le_bytes(expect[..8].try_into().unwrap());
+        assert_eq!(pool.load_u64(mr, off), word, "load_u64 at {off}");
+    }
+}
+
+/// The slot table grows only when a chunk materializes, so the edges of
+/// that growth get their own differential pass: reads, word loads, zero
+/// writes and zero copies past the table's current end; a high chunk
+/// materialized before the low ones; and the short last chunk of a region
+/// whose length is not a multiple of [`CHUNK_BYTES`].
+#[test]
+fn slot_table_growth_edges_match_dense_reference_model() {
+    let mut pool = MemoryPool::new();
+    let mut model = DenseModel::default();
+    let tail = 1234;
+    let len = 5 * CHUNK_BYTES + tail; // chunk 5 is short
+    let a = pool.register(0, len);
+    let b = pool.register(0, len);
+    assert_eq!((model.register(len, true), model.register(len, true)), (a, b));
+    let seam = |c: u64| c * CHUNK_BYTES;
+
+    // Empty table: every read past its end is zeros, and so is every
+    // seam-straddling load; zero writes and zero copies stay elided.
+    for off in [0, seam(2) - 4, seam(3) + 17, seam(5) - 3, len - 8] {
+        assert_reads_match(&pool, &model, a, off, 8);
+    }
+    pool.write(a, seam(4) + 8, &[0; 64]);
+    pool.write_zeros(a, seam(3) - 16, CHUNK_BYTES);
+    pool.copy_within(b, seam(2), a, seam(4) - 100, 300);
+    assert_eq!(pool.resident_bytes(), 0, "zero effects past the end must not materialize");
+
+    // A high chunk first: the table jumps past the low, still-empty slots.
+    let high = b"high chunk before low ones";
+    pool.write(a, seam(3) + 40, high);
+    model.write(a, seam(3) + 40, high);
+    assert_eq!(pool.resident_bytes(), CHUNK_BYTES);
+    for off in [seam(1) + 5, seam(3) + 36, seam(4) - 4, seam(4) + 9, len - 8] {
+        assert_reads_match(&pool, &model, a, off, 8);
+    }
+    assert_reads_match(&pool, &model, a, seam(3), 2 * CHUNK_BYTES);
+    // Past the grown end (chunks 4 and 5) zero effects are still elided.
+    pool.write(a, seam(4) + 8, &[0; 64]);
+    pool.write_zeros(a, seam(5), tail);
+    pool.copy_within(b, 0, a, seam(4) + 1, CHUNK_BYTES + 1);
+    assert_eq!(pool.resident_bytes(), CHUNK_BYTES);
+
+    // Then a low chunk, which fills in below the existing end.
+    pool.write(a, 3, b"low");
+    model.write(a, 3, b"low");
+    assert_eq!(pool.resident_bytes(), 2 * CHUNK_BYTES);
+
+    // The short last chunk materializes at its own length, including via
+    // a write straddling the seam into it and via `try_slice_mut`.
+    let straddle: Vec<u8> = (1..=32).collect();
+    pool.write(a, seam(5) - 16, &straddle);
+    model.write(a, seam(5) - 16, &straddle);
+    assert_eq!(pool.resident_bytes(), 3 * CHUNK_BYTES + tail);
+    pool.write(a, len - 5, b"tail!");
+    model.write(a, len - 5, b"tail!");
+    pool.try_slice_mut(b, len - 4, 4).unwrap().copy_from_slice(b"last");
+    model.write(b, len - 4, b"last");
+    assert_eq!(pool.resident_bytes(), 3 * CHUNK_BYTES + 2 * tail);
+    for off in [seam(5) - 20, len - 8, seam(2) + 100] {
+        assert_reads_match(&pool, &model, a, off, 8);
+        assert_reads_match(&pool, &model, b, off, 8);
+    }
+
+    // A real copy out of the grown table into b's empty low chunks: its
+    // first 10 bytes are zeros and stay elided in b's chunk 0, the rest
+    // carries `high` and materializes b's chunk 1.
+    pool.copy_within(a, seam(3) + 30, b, seam(1) - 10, 40);
+    model.copy_within(a, seam(3) + 30, b, seam(1) - 10, 40);
+    for mr in [a, b] {
+        assert_eq!(pool.read(mr, 0, len), model.read(mr, 0, len), "final image of {mr:?}");
+    }
+    assert_eq!(pool.resident_bytes(), 4 * CHUNK_BYTES + 2 * tail);
+}
+
 /// Sharding must move sparse regions wholesale: registering huge backed
 /// regions on every machine and driving real traffic through a 2-shard
 /// split/absorb cycle materializes only the chunks the verbs touched —

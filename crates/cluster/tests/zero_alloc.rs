@@ -1,28 +1,53 @@
-//! Proof that the steady-state verb hot path does not touch the heap:
-//! a counting global allocator wraps the system allocator, and after a
-//! warm-up phase (scratch buffers grown, MTT warmed, k-server intervals
-//! merged) a burst of posts must perform exactly zero allocations.
+//! Proof that the steady-state verb hot path does not touch the heap,
+//! and that fleet construction costs what it touches: a counting global
+//! allocator wraps the system allocator, and after a warm-up phase
+//! (scratch buffers grown, MTT warmed, k-server intervals merged) a burst
+//! of posts must perform exactly zero allocations.
+//!
+//! The counters are per thread: the test harness runs tests on
+//! concurrent threads, and a process-global counter would charge one
+//! test with another's allocations.
 
-use cluster::{ClusterConfig, Endpoint, Testbed};
+use cluster::{ClusterConfig, Endpoint, MemoryPool, Testbed};
 use rnicsim::{RKey, Sge, VerbKind, WorkRequest, WrId, INLINE_SGES};
 use simcore::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `(allocation calls, bytes requested)` on this thread. `realloc`
+    /// counts as one call requesting its whole new size.
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCS.try_with(|c| {
+        let (calls, total) = c.get();
+        c.set((calls + 1, total + bytes as u64));
+    });
+}
+
+/// `(calls, bytes)` allocated on this thread while running `f`.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    let after = ALLOCS.with(Cell::get);
+    ((after.0 - before.0, after.1 - before.1), out)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -80,16 +105,16 @@ fn steady_state_posts_do_not_allocate() {
         }
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..100 {
-        for wr in &mut templates {
-            wr.wr_id = WrId(id);
-            id += 1;
-            t = tb.post_one_ref(t, conn, wr).at;
+    let ((calls, bytes), ()) = allocs_during(|| {
+        for _ in 0..100 {
+            for wr in &mut templates {
+                wr.wr_id = WrId(id);
+                id += 1;
+                t = tb.post_one_ref(t, conn, wr).at;
+            }
         }
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "verb hot path allocated {} times", after - before);
+    });
+    assert_eq!(calls, 0, "verb hot path allocated {calls} times ({bytes} bytes)");
 }
 
 /// Steady-state *reads* of the sparse pool are allocation-free too: the
@@ -99,7 +124,7 @@ fn steady_state_posts_do_not_allocate() {
 /// straddles a chunk seam.
 #[test]
 fn steady_state_pool_reads_do_not_allocate() {
-    let mut pool = cluster::MemoryPool::new();
+    let mut pool = MemoryPool::new();
     let a = pool.register(0, 4 * cluster::CHUNK_BYTES);
     let b = pool.register(0, 4 * cluster::CHUNK_BYTES);
     let seam = cluster::CHUNK_BYTES - 16;
@@ -115,23 +140,48 @@ fn steady_state_pool_reads_do_not_allocate() {
     assert!(pool.read_view(a, seam, 48, &mut scratch).is_some());
     pool.copy_within(a, seam, b, seam, 48);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 0..200u64 {
-        // Zero page: untouched chunk served straight from the static page.
-        assert_eq!(pool.try_slice(a, 2 * cluster::CHUNK_BYTES, 64).unwrap(), &[0u8; 64]);
-        // Materialized in-chunk span.
-        assert!(pool.try_slice(a, 0, 18).is_some());
-        // Seam-straddling span assembled into reused scratch.
-        assert_eq!(pool.read_view(a, seam, 48, &mut scratch).unwrap(), &[0x5A; 48]);
-        // Bulk read into a reused destination, alternating hole/resident.
-        out.clear();
-        pool.read_into(a, (i % 3) * cluster::CHUNK_BYTES, 48, &mut out);
-        // Pool-to-pool copy over already-materialized destination chunks.
-        pool.copy_within(a, seam, b, seam, 48);
-        // Word load from a hole and from resident bytes.
-        assert_eq!(pool.load_u64(a, 3 * cluster::CHUNK_BYTES), 0);
-        let _ = pool.load_u64(a, 0);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "pool read path allocated {} times", after - before);
+    let ((calls, bytes), ()) = allocs_during(|| {
+        for i in 0..200u64 {
+            // Zero page: untouched chunk served straight from the static page.
+            assert_eq!(pool.try_slice(a, 2 * cluster::CHUNK_BYTES, 64).unwrap(), &[0u8; 64]);
+            // Materialized in-chunk span.
+            assert!(pool.try_slice(a, 0, 18).is_some());
+            // Seam-straddling span assembled into reused scratch.
+            assert_eq!(pool.read_view(a, seam, 48, &mut scratch).unwrap(), &[0x5A; 48]);
+            // Bulk read into a reused destination, alternating hole/resident.
+            out.clear();
+            pool.read_into(a, (i % 3) * cluster::CHUNK_BYTES, 48, &mut out);
+            // Pool-to-pool copy over already-materialized destination chunks.
+            pool.copy_within(a, seam, b, seam, 48);
+            // Word load from a hole and from resident bytes.
+            assert_eq!(pool.load_u64(a, 3 * cluster::CHUNK_BYTES), 0);
+            let _ = pool.load_u64(a, 0);
+        }
+    });
+    assert_eq!(calls, 0, "pool read path allocated {calls} times ({bytes} bytes)");
+}
+
+/// Registration and fleet construction cost what they touch, not what
+/// they could address: a 1 TiB backed registration allocates no slot
+/// table, and a machine's NIC caches start with the same small index
+/// whatever their capacity.
+#[test]
+fn registration_and_testbed_cost_is_independent_of_size() {
+    let mut pool = MemoryPool::new();
+    let ((_, bytes), mr) = allocs_during(|| pool.register(0, 1 << 40));
+    assert!(bytes < 1024, "registering 1 TiB allocated {bytes} bytes");
+    assert_eq!(pool.resident_bytes(), 0);
+    assert_eq!(pool.load_u64(mr, (1 << 40) - 8), 0, "the far end reads as zeros");
+
+    let testbed_bytes = |mtt_cache_entries: usize| {
+        let mut cfg = ClusterConfig { machines: 64, ..Default::default() };
+        cfg.rnic.mtt_cache_entries = mtt_cache_entries;
+        let ((_, bytes), _) = allocs_during(|| Testbed::new(cfg));
+        bytes
+    };
+    assert_eq!(
+        testbed_bytes(1024),
+        testbed_bytes(65536),
+        "MTT cache capacity must not pre-pay index memory"
+    );
 }

@@ -61,9 +61,10 @@ impl LruSet {
     /// An empty set that holds at most `capacity ≥ 1` keys.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "LruSet capacity must be at least 1");
-        // Start small and double while filling: huge-capacity sets that
-        // never fill (host-sized tables) should not pre-pay a huge index.
-        let table_len = (2 * capacity).next_power_of_two().clamp(8, 4096);
+        // Start at 8 slots whatever the capacity and double while filling:
+        // the index costs what the set holds, not what it could hold, so a
+        // fleet of mostly idle NIC caches stays cheap.
+        let table_len = 8;
         LruSet {
             capacity,
             table: vec![NIL; table_len].into_boxed_slice(),
@@ -413,6 +414,62 @@ mod tests {
         assert_eq!(c.table.len(), table_len);
         assert!(c.nodes.len() <= 65);
         assert_eq!(c.len(), 64);
+    }
+
+    /// A huge-capacity set pays for what it holds: its index starts at 8
+    /// slots, doubles while filling (hit/miss-exact against a reference
+    /// LRU), and stays fixed under churn once full. The reference orders
+    /// keys by last-use stamp — same semantics as the `lru_props` naive
+    /// model, but O(log n), so 65536 entries stay cheap in a debug build.
+    #[test]
+    fn huge_capacity_index_grows_on_demand_then_stays_fixed() {
+        use std::collections::{BTreeMap, HashMap};
+        const CAP: usize = 65536;
+        let mut c = LruSet::new(CAP);
+        assert_eq!(c.table.len(), 8, "index must not be sized by capacity");
+        let (mut stamps, mut by_age) = (HashMap::new(), BTreeMap::new());
+        let (mut hits, mut misses, mut now) = (0u64, 0u64, 0u64);
+        let mut access = |c: &mut LruSet, key: u64| {
+            now += 1;
+            let hit = match stamps.insert(key, now) {
+                Some(old) => {
+                    by_age.remove(&old);
+                    hits += 1;
+                    true
+                }
+                None => {
+                    misses += 1;
+                    if stamps.len() > CAP {
+                        let (_, lru) = by_age.pop_first().expect("non-empty");
+                        stamps.remove(&lru);
+                    }
+                    false
+                }
+            };
+            by_age.insert(now, key);
+            assert_eq!(c.access(key), hit, "access({key}) diverged at stamp {now}");
+            assert_eq!(c.stats(), (hits, misses));
+        };
+        let mut rng = crate::SimRng::new(0x1DE5);
+        // Fill: every new key misses, interleaved with hits on older ones.
+        let mut sizes = vec![c.table.len()];
+        for k in 0..CAP as u64 {
+            access(&mut c, k);
+            access(&mut c, rng.gen_range(k + 1));
+            if *sizes.last().unwrap() != c.table.len() {
+                sizes.push(c.table.len());
+            }
+        }
+        assert_eq!(c.len(), CAP);
+        let doublings: Vec<usize> = (3..=17).map(|b| 1 << b).collect();
+        assert_eq!(sizes, doublings, "index grows by doubling up to 2 × capacity");
+        // Churn at capacity: hits, misses and evictions, no more growth.
+        for _ in 0..100_000 {
+            access(&mut c, rng.gen_range(2 * CAP as u64));
+        }
+        assert_eq!(c.table.len(), 2 * CAP);
+        assert!(c.nodes.len() <= CAP + 1);
+        assert_eq!(c.len(), CAP);
     }
 
     #[test]

@@ -10,7 +10,9 @@ cargo fmt --check
 echo "== build (release) =="
 cargo build --release --offline
 
-echo "== tests =="
+echo "== tests (whole workspace, via default-members) =="
+# The root Cargo.toml lists every crate in `default-members`, so this
+# bare command runs every workspace test, not just the root package's.
 cargo test -q --offline
 
 echo "== clippy =="
