@@ -9,7 +9,7 @@
 //! repro all --serial        # one worker (same output, more wall-clock)
 //! repro all --shards 4      # in-simulation shards (default: auto; 1 = serial engine)
 //! repro all --bench-json BENCH_engine.json   # machine-readable timings
-//! repro --check-determinism # prove serial/parallel/unbatched/sharded runs agree
+//! repro --check-determinism # prove serial/parallel/sharded runs agree
 //! repro --bench-compare BENCH_engine.json   # diff a fresh run vs baseline
 //! repro --lint all          # static verb analysis instead of running
 //!
@@ -17,13 +17,13 @@
 //!                           # open-loop capacity knees (p99 <= SLO) per app
 //! repro --traffic shuffle --load 0.25:4:6    # fixed offered-load sweep
 //! repro --traffic hashtable --load 0.1:0.3:2 --check-determinism
-//!                           # 4-way byte-identity of the traffic engine
+//!                           # 3-way byte-identity of the traffic engine
 //!
 //! repro --txn all --load knee --apps-json BENCH_txn.json
 //!                           # txn-service capacity knees per profile x mode
 //! repro --txn hashtable --mode locked --load 0.05:0.2:4   # fixed sweep
 //! repro --txn all --load 0.05 --check-determinism
-//!                           # 4-way byte-identity of the txn service
+//!                           # 3-way byte-identity of the txn service
 //! ```
 //!
 //! Experiments are independent deterministic simulations, so the runner
@@ -164,18 +164,19 @@ fn determinism_failed(kind: &str, a: &str, b: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Run a small experiment set four ways — serially, in parallel across
-/// experiments, with the batched device pipeline disabled, and with the
-/// in-simulation sharded engine — and require byte-identical rendered
-/// output from all four. Exits non-zero on divergence.
+/// Run a small experiment set three ways — serially, in parallel across
+/// experiments, and with the in-simulation sharded engine — and require
+/// byte-identical rendered output from all three. Exits non-zero on
+/// divergence. Leaves the worker count and shard default pinned; the
+/// caller restores what the command line asked for.
 fn check_determinism(scale: Scale) {
     // txn-contention rides along so the transactional service (service
     // scheduler, abort accounting, tenant telemetry) is inside the same
-    // 4-way byte-identity gate as the core engine. fig6-xxl's notes carry
+    // 3-way byte-identity gate as the core engine. fig6-xxl's notes carry
     // the fleet memory digest (placement + content of every materialized
     // sparse page), so the gate pins the memory subsystem too: an elision
-    // or materialization decision that differs between the batched,
-    // unbatched, parallel, or sharded paths diverges the rendered output.
+    // or materialization decision that differs between the serial,
+    // parallel, or sharded runs diverges the rendered output.
     let ids = ["table1", "table2", "fig8", "fig6-xxl", "txn-contention"];
     set_parallelism(Some(1));
     cluster::set_shards_default(Some(1));
@@ -187,32 +188,19 @@ fn check_determinism(scale: Scale) {
     if a != b {
         determinism_failed("serial vs parallel", &a, &b);
     }
-    // Third leg: the batched device pipeline (translation memos, bulk
-    // data effects) against the unbatched reference path. Exactness of
-    // every fast path means the rendered experiments must not move by a
-    // single byte.
-    cluster::set_batched_default(false);
-    set_parallelism(Some(1));
-    let unbatched: Vec<GroupRun> = ids.iter().map(|id| run_group(id.to_string(), scale)).collect();
-    cluster::set_batched_default(true);
-    let c = render_all(&unbatched);
-    if a != c {
-        determinism_failed("batched vs unbatched pipeline", &a, &c);
-    }
-    // Fourth leg: the conservative sharded engine. fig8 runs six machine
+    // Third leg: the conservative sharded engine. fig8 runs six machine
     // pairs concurrently on two shards; the windowed barrier protocol
     // must reproduce the serial interleaving exactly.
+    set_parallelism(Some(1));
     cluster::set_shards_default(Some(2));
     let sharded: Vec<GroupRun> = ids.iter().map(|id| run_group(id.to_string(), scale)).collect();
-    cluster::set_shards_default(Some(1));
-    let d = render_all(&sharded);
-    if a != d {
-        determinism_failed("serial vs sharded (--shards 2)", &a, &d);
+    let c = render_all(&sharded);
+    if a != c {
+        determinism_failed("serial vs sharded (--shards 2)", &a, &c);
     }
-    set_parallelism(None);
     println!(
-        "determinism check passed: serial, parallel, unbatched-pipeline, and sharded (--shards 2) \
-         output identical ({} bytes)",
+        "determinism check passed: serial, parallel, and sharded (--shards 2) output identical \
+         ({} bytes)",
         a.len()
     );
 }
@@ -278,11 +266,10 @@ fn parse_modes(spec: &str) -> Option<Vec<txn::Concurrency>> {
     }
 }
 
-/// The traffic engine's own four-way byte-identity gate: the rendered
+/// The traffic engine's own three-way byte-identity gate: the rendered
 /// sweep table (quantiles *and* histogram digests) must be identical
-/// serially, in parallel across points, with the batched device pipeline
-/// disabled, and on the sharded engine (`shards = 2`). Exits non-zero on
-/// divergence.
+/// serially, in parallel across points, and on the sharded engine
+/// (`shards = 2`). Exits non-zero on divergence.
 fn check_traffic_determinism(apps: &[traffic::AppKind], loads: &[f64], scale: Scale) {
     use bench::openloop::sweep_table;
     set_parallelism(Some(1));
@@ -292,30 +279,22 @@ fn check_traffic_determinism(apps: &[traffic::AppKind], loads: &[f64], scale: Sc
     if serial != parallel {
         determinism_failed("traffic serial vs parallel", &serial, &parallel);
     }
-    cluster::set_batched_default(false);
     set_parallelism(Some(1));
-    let unbatched = sweep_table(apps, loads, scale, 1);
-    cluster::set_batched_default(true);
-    if serial != unbatched {
-        determinism_failed("traffic batched vs unbatched pipeline", &serial, &unbatched);
-    }
     let sharded = sweep_table(apps, loads, scale, 2);
-    set_parallelism(None);
     if serial != sharded {
         determinism_failed("traffic serial vs sharded (shards=2)", &serial, &sharded);
     }
     println!(
-        "traffic determinism check passed: serial, parallel, unbatched-pipeline, and sharded \
-         (shards=2) sweep tables identical ({} bytes)",
+        "traffic determinism check passed: serial, parallel, and sharded (shards=2) sweep \
+         tables identical ({} bytes)",
         serial.len()
     );
 }
 
-/// The txn service's own four-way byte-identity gate: the rendered txn
+/// The txn service's own three-way byte-identity gate: the rendered txn
 /// sweep table (quantiles, abort accounting, *and* digests) must be
-/// identical serially, in parallel across points, with the batched
-/// device pipeline disabled, and on the sharded engine (`shards = 2`).
-/// Exits non-zero on divergence.
+/// identical serially, in parallel across points, and on the sharded
+/// engine (`shards = 2`). Exits non-zero on divergence.
 fn check_txn_determinism(
     profiles: &[txn::TxnProfile],
     modes: &[txn::Concurrency],
@@ -330,21 +309,14 @@ fn check_txn_determinism(
     if serial != parallel {
         determinism_failed("txn serial vs parallel", &serial, &parallel);
     }
-    cluster::set_batched_default(false);
     set_parallelism(Some(1));
-    let unbatched = txn_sweep_table(profiles, modes, loads, scale, 1);
-    cluster::set_batched_default(true);
-    if serial != unbatched {
-        determinism_failed("txn batched vs unbatched pipeline", &serial, &unbatched);
-    }
     let sharded = txn_sweep_table(profiles, modes, loads, scale, 2);
-    set_parallelism(None);
     if serial != sharded {
         determinism_failed("txn serial vs sharded (shards=2)", &serial, &sharded);
     }
     println!(
-        "txn determinism check passed: serial, parallel, unbatched-pipeline, and sharded \
-         (shards=2) sweep tables identical ({} bytes)",
+        "txn determinism check passed: serial, parallel, and sharded (shards=2) sweep tables \
+         identical ({} bytes)",
         serial.len()
     );
 }
@@ -597,6 +569,8 @@ fn main() {
     let mut do_fix = false;
     let mut caps_spec: Option<String> = None;
     let mut compare_path: Option<PathBuf> = None;
+    // `None` = default worker count, `Some(n)` = `--serial` / `--jobs n`.
+    let mut jobs_req: Option<usize> = None;
     // `Some(None)` = explicit auto, `Some(Some(n))` = fixed shard count.
     let mut shards_req: Option<Option<usize>> = None;
     let mut traffic_apps: Option<Vec<traffic::AppKind>> = None;
@@ -661,7 +635,7 @@ fn main() {
                 })));
             }
             "--paper-scale" => scale.paper = true,
-            "--serial" => set_parallelism(Some(1)),
+            "--serial" => jobs_req = Some(1),
             "--shards" => {
                 let v = args.next().unwrap_or_else(|| {
                     eprintln!("--shards needs a positive integer or 'auto'");
@@ -688,7 +662,7 @@ fn main() {
                         eprintln!("--jobs needs a positive integer");
                         std::process::exit(2);
                     });
-                set_parallelism(Some(n));
+                jobs_req = Some(n);
             }
             "--check-determinism" => do_check = true,
             "--lint" => do_lint = true,
@@ -749,6 +723,7 @@ fn main() {
             other => ids.push(other.to_string()),
         }
     }
+    set_parallelism(jobs_req);
     if let Some(req) = shards_req {
         cluster::set_shards_default(req);
     }
@@ -803,8 +778,10 @@ fn main() {
     }
     if do_check {
         check_determinism(scale);
-        // The check pins the process-wide shard default per leg; restore
-        // whatever the command line asked for before running anything else.
+        // The check pins the worker count and the shard default per leg;
+        // restore what the command line asked for before running anything
+        // else.
+        set_parallelism(jobs_req);
         cluster::set_shards_default(shards_req.flatten());
         if ids.is_empty() && compare_path.is_none() {
             return;

@@ -518,7 +518,7 @@ impl Client for ThetaClient {
             self.t += SimTime::from_ns(100); // flush WR post (MMIO)
             self.absorb_flush(done);
         }
-        if self.i % 64 == 0 {
+        if self.i.is_multiple_of(64) {
             for done in self.buf.poll_leases(tb, self.t) {
                 self.absorb_flush(done);
             }
@@ -677,7 +677,7 @@ pub fn fig6_xl(scale: Scale) -> Vec<Experiment> {
 /// Fleet-wide memory accounting of one [`fleet_run`]: actual sparse
 /// residency vs the dense-equivalent registered footprint, plus an
 /// FNV-1a fold of every machine's resident-page digest (placement *and*
-/// content of materialized pages — the byte-identity token the 4-way
+/// content of materialized pages — the byte-identity token the 3-way
 /// determinism gate checks for the memory subsystem).
 struct FleetMem {
     resident: u64,
@@ -774,7 +774,7 @@ fn fleet_run(pairs: usize, fan: usize, region: u64, ops: u64, seq: bool) -> (f64
 /// elided, so the fleet's resident memory stays megabytes while the
 /// dense-equivalent registration is hundreds of gigabytes. The notes
 /// carry the resident/dense accounting and the fleet memory digest, so
-/// the 4-way determinism gate pins memory *placement* as well as timing.
+/// the 3-way determinism gate pins memory *placement* as well as timing.
 pub fn fig6_xxl(scale: Scale) -> Vec<Experiment> {
     let (pair_counts, fan, ops): (&[usize], usize, u64) =
         if scale.paper { (&[256, 1024], 48, 600) } else { (&[64, 256, 1024], 6, 64) };

@@ -214,17 +214,8 @@ pub fn sweep_table(apps: &[AppKind], loads: &[f64], scale: Scale, shards: usize)
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<10} {:<9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}  {}",
-        "app",
-        "variant",
-        "offered",
-        "achieved",
-        "ops",
-        "mean_us",
-        "p50_us",
-        "p99_us",
-        "p999_us",
-        "digest"
+        "{:<10} {:<9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}  digest",
+        "app", "variant", "offered", "achieved", "ops", "mean_us", "p50_us", "p99_us", "p999_us",
     );
     for ((app, optimized, _), p) in items.iter().zip(&pts) {
         let _ = writeln!(

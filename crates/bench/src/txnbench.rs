@@ -391,7 +391,7 @@ pub fn txn_sweep_table(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<10} {:<10} {:>9} {:>9} {:>7} {:>8} {:>8} {:>8} {:>8} {:>7}  {}",
+        "{:<10} {:<10} {:>9} {:>9} {:>7} {:>8} {:>8} {:>8} {:>8} {:>7}  digest",
         "profile",
         "mode",
         "offered",
@@ -402,7 +402,6 @@ pub fn txn_sweep_table(
         "commits",
         "aborts",
         "casrty",
-        "digest"
     );
     for ((profile, mode, _), r) in items.iter().zip(&reports) {
         let _ = writeln!(

@@ -54,7 +54,4 @@ pub use shard::{
     run_clients_sharded, run_clients_windowed, set_shards_default, shard_plan, shards_default,
     Pinned,
 };
-pub use testbed::{
-    batched_default, set_batched_default, ConnId, Endpoint, Machine, Testbed, Transport,
-    UD_GRH_BYTES,
-};
+pub use testbed::{ConnId, Endpoint, Machine, Testbed, Transport, UD_GRH_BYTES};

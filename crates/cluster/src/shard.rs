@@ -362,7 +362,7 @@ mod tests {
                     ClosedLoop::new(4, 16, move |tb: &mut Testbed, now: SimTime, i: u64| {
                         // Alternate connections; strided 64-byte writes
                         // overlap their neighbours on the other conn.
-                        let conn = if i % 2 == 0 { c0 } else { c1 };
+                        let conn = if i.is_multiple_of(2) { c0 } else { c1 };
                         let off = (i % 8) * 32;
                         let wr =
                             WorkRequest::write(i, Sge::new(src, off, 64), RKey(dst.0 as u64), off);

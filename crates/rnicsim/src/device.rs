@@ -109,19 +109,15 @@ impl Rnic {
         }
     }
 
-    /// Touch MTT entries for a span; returns the number of misses. Each
-    /// miss stalls the pipeline for `mtt_miss_occupancy` and adds
-    /// `mtt_miss_penalty` of end-to-end latency.
-    pub fn mtt_touch(&mut self, mr: MrId, offset: u64, len: u64) -> u64 {
-        self.mtt.access(mr, offset, len)
-    }
-
-    /// [`mtt_touch`](Self::mtt_touch) on behalf of `qpn`, accelerated by
-    /// the QP's translation memo: a QP streaming through one page (the
-    /// dominant pattern inside a doorbell batch) skips the MTT LRU
-    /// entirely on repeat touches. Hit/miss counters and recency are
-    /// identical to `mtt_touch` — the memo only short-circuits touches it
-    /// can prove would hit with unchanged recency.
+    /// Touch MTT entries for a span on behalf of `qpn`; returns the number
+    /// of misses. Each miss stalls the pipeline for `mtt_miss_occupancy`
+    /// and adds `mtt_miss_penalty` of end-to-end latency. The QP's
+    /// translation memo accelerates the touch: a QP streaming through one
+    /// page (the dominant pattern inside a doorbell batch) skips the MTT
+    /// LRU entirely on repeat touches. Hit/miss counters and recency are
+    /// identical to a plain [`MttCache::access`] — the memo only
+    /// short-circuits touches it can prove would hit with unchanged
+    /// recency.
     pub fn mtt_touch_qp(&mut self, qpn: QpNum, mr: MrId, offset: u64, len: u64) -> u64 {
         let memo = &mut self.qp_memo[qpn.0 as usize];
         self.mtt.access_with_memo(memo, mr, offset, len)
@@ -289,11 +285,14 @@ mod tests {
     #[test]
     fn mtt_touch_counts_misses() {
         let mut n = nic();
-        assert_eq!(n.mtt_touch(MrId(3), 0, 64), 1);
-        assert_eq!(n.mtt_touch(MrId(3), 0, 64), 0);
-        assert_eq!(n.mtt_touch(MrId(3), 0, 64 * 1024), 15); // 16 pages, 1 warm
+        let q = n.create_qp(0);
+        assert_eq!(n.mtt_touch_qp(q, MrId(3), 0, 64), 1);
+        assert_eq!(n.mtt_touch_qp(q, MrId(3), 0, 64), 0);
+        assert_eq!(n.mtt_touch_qp(q, MrId(3), 0, 64 * 1024), 15); // 16 pages, 1 warm
     }
 
+    /// The per-QP memo against the plain `MttCache::access` path: same
+    /// per-touch miss counts and same counters across interleaved QPs.
     #[test]
     fn mtt_touch_qp_is_indistinguishable_from_mtt_touch() {
         let mut plain = nic();
@@ -304,10 +303,11 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let qp = qps[(x % 2) as usize];
             let mr = MrId(((x >> 4) % 3) as u32);
-            let off = if x % 3 == 0 { (x >> 16) % (1 << 22) } else { (i * 64) % (1 << 22) };
-            let len = if x % 11 == 0 { 20_000 } else { 64 };
+            let off =
+                if x.is_multiple_of(3) { (x >> 16) % (1 << 22) } else { (i * 64) % (1 << 22) };
+            let len = if x.is_multiple_of(11) { 20_000 } else { 64 };
             assert_eq!(
-                plain.mtt_touch(mr, off, len),
+                plain.mtt.access(mr, off, len),
                 memoed.mtt_touch_qp(qp, mr, off, len),
                 "divergence at step {i}"
             );

@@ -20,11 +20,11 @@
 //! off the wheel — wheel pops come out in exact `(at, seq)` order, so the
 //! refill preserves the determinism contract across the boundary.
 //!
-//! The far structure used to be a `BinaryHeap`; open-loop traffic keeps
-//! millions of arrival timers pending there, and the per-push log-time
-//! sift made the heap the bottleneck. The wheel pushes in O(1) and is
-//! pinned byte-identical to the heap by the oracle tests below and in
-//! `tests/wheel_oracle.rs`.
+//! The far structure is a wheel rather than a `BinaryHeap` because
+//! open-loop traffic keeps millions of arrival timers pending there, and a
+//! heap pays a log-time sift on every one of them. The wheel pushes in
+//! O(1) and is pinned byte-identical to a heap by the oracle tests below
+//! and in `tests/wheel_oracle.rs`.
 
 use crate::time::SimTime;
 use crate::wheel::TimingWheel;

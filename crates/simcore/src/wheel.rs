@@ -31,9 +31,9 @@
 //!
 //! 1. Every entry in `ready` has granule `<= base_g`; every entry in a slot
 //!    has granule `> base_g`. Hence the global minimum is in `ready`.
-//! 2. After every public operation, `ready` is non-empty (with a live,
-//!    non-cancelled top) whenever the wheel is non-empty — so `peek` is a
-//!    borrow of `ready.peek()` and never needs `&mut self`.
+//! 2. After every public operation, `ready` is non-empty whenever the
+//!    wheel is non-empty — so `peek` is a borrow of `ready.peek()` and
+//!    never needs `&mut self`.
 //!
 //! Invariant 1 holds because a slot at level `l` only receives granules that
 //! first differ from `base_g` at level `l`, i.e. strictly above the base; and
@@ -42,17 +42,10 @@
 //! (anything smaller would have occupied a lower slot and been chosen
 //! instead), so draining it — into `ready` at level 0, cascading at
 //! level > 0 — restores the invariant without a general redistribution pass.
-//!
-//! # Cancellation
-//!
-//! `cancel` is lazy: the key is recorded in a tombstone set and the entry is
-//! skipped (and the tombstone retired) when it surfaces. This keeps `cancel`
-//! O(1) without searching 576 slots; the caller must only cancel keys that
-//! are actually pending, which the event-queue layer guarantees.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// log2 of the wheel granule in picoseconds: 2^12 ps ≈ 4.1 ns. Timers that
 /// land in the same granule are only ordered when their slot is reached.
@@ -105,12 +98,8 @@ pub struct TimingWheel<T> {
     occ: [u64; LEVELS],
     /// Granule of the wheel's current position.
     base_g: u64,
-    /// Physical entry count across all slots (tombstoned entries included).
+    /// Entry count across all slots.
     in_slots: usize,
-    /// Live (non-cancelled) entries in the whole wheel.
-    live: usize,
-    /// Tombstones for lazily cancelled keys still buried in the structure.
-    cancelled: HashSet<u64>,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -128,22 +117,20 @@ impl<T> TimingWheel<T> {
             occ: [0; LEVELS],
             base_g: 0,
             in_slots: 0,
-            live: 0,
-            cancelled: HashSet::new(),
         }
     }
 
-    /// Number of live entries.
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
-        self.live
+        self.ready.len() + self.in_slots
     }
 
-    /// Whether no live entries remain.
+    /// Whether no entries remain. Invariant 2 makes `ready` alone decide.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.ready.is_empty()
     }
 
-    /// Key of the earliest live entry. O(1): invariant 2 keeps it at the
+    /// Key of the earliest entry. O(1): invariant 2 keeps it at the
     /// top of `ready`.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.ready.peek().map(|e| (e.at, e.seq))
@@ -152,29 +139,15 @@ impl<T> TimingWheel<T> {
     /// Insert an entry. `seq` must be unique among pending entries (the
     /// event queue passes its global insertion sequence).
     pub fn push(&mut self, at: SimTime, seq: u64, payload: T) {
-        self.live += 1;
         self.insert(Entry { at, seq, payload });
         self.normalize();
     }
 
-    /// Remove and return the earliest live entry.
+    /// Remove and return the earliest entry.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         let e = self.ready.pop()?;
-        debug_assert!(!self.cancelled.contains(&e.seq));
-        self.live -= 1;
         self.normalize();
         Some((e.at, e.seq, e.payload))
-    }
-
-    /// Lazily cancel the pending entry with key `seq`. The caller must
-    /// guarantee `seq` is currently pending (neither popped nor cancelled).
-    pub fn cancel(&mut self, seq: u64) {
-        let fresh = self.cancelled.insert(seq);
-        debug_assert!(fresh, "cancel of a non-pending key");
-        if fresh {
-            self.live -= 1;
-            self.normalize();
-        }
     }
 
     /// Route one entry to `ready` (granule reached) or a slot (future).
@@ -194,19 +167,11 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Restore invariant 2: pop tombstoned tops and replenish `ready`
-    /// from the slots until the top is live or the wheel is empty.
+    /// Restore invariant 2: replenish `ready` from the slots while it is
+    /// empty and slots are occupied.
     fn normalize(&mut self) {
-        loop {
-            match self.ready.peek() {
-                Some(e) if !self.cancelled.is_empty() && self.cancelled.contains(&e.seq) => {
-                    let e = self.ready.pop().expect("top exists");
-                    self.cancelled.remove(&e.seq);
-                }
-                Some(_) => return,
-                None if self.in_slots > 0 => self.replenish(),
-                None => return,
-            }
+        while self.ready.is_empty() && self.in_slots > 0 {
+            self.replenish();
         }
     }
 
@@ -228,18 +193,11 @@ impl<T> TimingWheel<T> {
         self.in_slots -= drained.len();
         if level == 0 {
             // All entries here share granule `base_g`; the heap orders them.
-            for e in drained.drain(..) {
-                if !self.cancelled.is_empty() && self.cancelled.remove(&e.seq) {
-                    continue;
-                }
-                self.ready.push(e);
-            }
+            self.ready.extend(drained.drain(..));
         } else {
             // Cascade: every entry agrees with the new base at this level
             // and above, so `insert` sends it strictly downward (or into
             // `ready` when its granule equals the new base exactly).
-            // Tombstoned entries cascade too; `normalize` strips them when
-            // they surface at the front.
             for e in drained.drain(..) {
                 self.insert(e);
             }
@@ -287,34 +245,6 @@ mod tests {
         for i in 0..50u64 {
             assert_eq!(w.pop().unwrap().1, i);
         }
-    }
-
-    #[test]
-    fn cancel_skips_entries_everywhere() {
-        let mut w = TimingWheel::new();
-        for i in 0..100u64 {
-            w.push(SimTime::from_ps(i * 1000), i, i);
-        }
-        for i in (0..100).step_by(3) {
-            w.cancel(i);
-        }
-        assert_eq!(w.len(), 100 - 34);
-        let mut got = Vec::new();
-        while let Some((_, s, _)) = w.pop() {
-            got.push(s);
-        }
-        let want: Vec<u64> = (0..100).filter(|i| i % 3 != 0).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn cancel_of_sole_front_empties_wheel() {
-        let mut w: TimingWheel<()> = TimingWheel::new();
-        w.push(SimTime::from_ns(10), 0, ());
-        w.cancel(0);
-        assert!(w.is_empty());
-        assert_eq!(w.peek_key(), None);
-        assert_eq!(w.pop().map(|(_, s, _)| s), None);
     }
 
     /// The wheel must match a BinaryHeap oracle byte-for-byte under random

@@ -1,6 +1,5 @@
 //! Property test: the hierarchical timing wheel against a `BinaryHeap`
-//! reference model, under seeded random insert / advance / cancel
-//! interleavings — including `(time, seq)` tie runs planted exactly at
+//! reference model, under seeded random insert / advance interleavings — including `(time, seq)` tie runs planted exactly at
 //! wheel-rollover boundaries (granule, slot, and level edges), where a
 //! lazy wheel implementation would be most tempted to reorder.
 
@@ -30,17 +29,6 @@ impl Oracle {
     fn peek(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|Reverse(k)| *k)
     }
-    /// Remove an arbitrary (rng-chosen) pending key; returns its seq.
-    fn cancel_random(&mut self, rng: &mut SimRng) -> Option<u64> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let mut keys: Vec<(SimTime, u64)> = self.heap.iter().map(|Reverse(k)| *k).collect();
-        keys.sort_unstable();
-        let victim = keys[rng.gen_range(keys.len() as u64) as usize];
-        self.heap = keys.into_iter().filter(|&k| k != victim).map(Reverse).collect();
-        Some(victim.1)
-    }
 }
 
 /// A timestamp planted on or adjacent to a rollover boundary so that ties
@@ -64,7 +52,7 @@ fn boundary_time(rng: &mut SimRng, horizon: u64) -> u64 {
 }
 
 #[test]
-fn wheel_matches_heap_under_insert_advance_cancel() {
+fn wheel_matches_heap_under_insert_advance() {
     let mut rng = SimRng::new(0xD1CE);
     for round in 0..30u64 {
         let mut wheel: TimingWheel<u64> = TimingWheel::new();
@@ -72,7 +60,7 @@ fn wheel_matches_heap_under_insert_advance_cancel() {
         let mut seq = 0u64;
         let mut horizon = 0u64; // time of the latest pop; pushes are >= this
         for _ in 0..500 {
-            match rng.gen_range(10) {
+            match rng.gen_range(8) {
                 // 0..=4: insert (half of them boundary-planted, with tie runs)
                 0..=4 => {
                     let at = if rng.gen_bool(0.5) {
@@ -91,7 +79,7 @@ fn wheel_matches_heap_under_insert_advance_cancel() {
                     }
                 }
                 // 5..=7: advance — pop a burst, checking every key
-                5..=7 => {
+                _ => {
                     let burst = 1 + rng.gen_range(8);
                     for _ in 0..burst {
                         let got = wheel.pop().map(|(at, s, p)| {
@@ -103,12 +91,6 @@ fn wheel_matches_heap_under_insert_advance_cancel() {
                         if let Some((at, _)) = want {
                             horizon = at.as_ps();
                         }
-                    }
-                }
-                // 8..=9: cancel a random pending entry
-                _ => {
-                    if let Some(victim) = oracle.cancel_random(&mut rng) {
-                        wheel.cancel(victim);
                     }
                 }
             }

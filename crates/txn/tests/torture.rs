@@ -3,7 +3,7 @@
 //! The workload is all `Add(1)` read-modify-writes, so the serial
 //! reference model is order-independent: every committed transaction
 //! bumps its record's version by exactly 1 *and* its counter by exactly
-//! 1. A lost update — two transactions reading the same base value and
+//! one. A lost update — two transactions reading the same base value and
 //! both committing — would leave `counter < version`; the byte-for-byte
 //! equality of the two is the zero-lost-updates oracle, checked on every
 //! record. Abort/retry accounting and final table bytes must also be
@@ -160,9 +160,10 @@ struct TortureOutcome {
     records: Vec<Vec<(u64, u64, u64)>>,
 }
 
-/// All-Add torture: `tenants` tenants per pod, each issuing `ops` RMW
-/// transactions mostly into the shared hot set.
-fn run_torture(
+/// One all-Add torture configuration: `tenants` tenants per pod, each
+/// issuing `ops` RMW transactions mostly into the shared hot set.
+#[derive(Clone, Copy)]
+struct Torture {
     pods: usize,
     tenants: usize,
     ops: u64,
@@ -170,8 +171,11 @@ fn run_torture(
     concurrency: Concurrency,
     scheduler: Scheduler,
     seed: u64,
-    shards: usize,
-) -> TortureOutcome {
+}
+
+/// Run `t` on `shards` in-simulation shards.
+fn run_torture(t: Torture, shards: usize) -> TortureOutcome {
+    let Torture { pods, tenants, ops, conflict, concurrency, scheduler, seed } = t;
     let mut tb = Testbed::new(ClusterConfig { machines: pods * 2, ..Default::default() });
     let root = SimRng::new(seed);
     let geo = ConflictGeometry { records: RECORDS, hot: HOT, conflict, tenants };
@@ -192,7 +196,7 @@ fn run_torture(
                 let mut at = SimTime::ZERO;
                 let schedule = (0..ops)
                     .map(|_| {
-                        at = at + SimTime::from_ns(800 + rng.gen_range(2400));
+                        at += SimTime::from_ns(800 + rng.gen_range(2400));
                         let rec = geo.pick(t, &mut rng);
                         (at, TxnRequest::rmw(rec, 1))
                     })
@@ -257,18 +261,27 @@ fn assert_no_lost_updates(out: &TortureOutcome, expected_commits: u64) {
     assert_eq!(total, expected_commits, "Σ counters must equal committed Adds");
 }
 
+/// The hot-set configuration the tests below vary.
+const HOT_SET: Torture = Torture {
+    pods: 1,
+    tenants: 4,
+    ops: 120,
+    conflict: 0.8,
+    concurrency: Concurrency::Optimistic,
+    scheduler: Scheduler::Drr { quantum: 8 },
+    seed: 11,
+};
+
 #[test]
 fn torture_optimistic_has_no_lost_updates() {
-    let out =
-        run_torture(1, 4, 120, 0.8, Concurrency::Optimistic, Scheduler::Drr { quantum: 8 }, 11, 1);
+    let out = run_torture(HOT_SET, 1);
     assert_no_lost_updates(&out, 4 * 120);
     assert!(out.stats.aborts > 0, "0.8 conflict on 8 hot records must produce aborts");
 }
 
 #[test]
 fn torture_locked_has_no_lost_updates() {
-    let out =
-        run_torture(1, 4, 120, 0.8, Concurrency::Locked, Scheduler::Drr { quantum: 8 }, 12, 1);
+    let out = run_torture(Torture { concurrency: Concurrency::Locked, seed: 12, ..HOT_SET }, 1);
     assert_no_lost_updates(&out, 4 * 120);
     assert!(out.stats.cas_retries > 0, "lock mode must contend on the hot set");
 }
@@ -276,8 +289,17 @@ fn torture_locked_has_no_lost_updates() {
 #[test]
 fn torture_serial_vs_sharded_byte_identical() {
     for concurrency in [Concurrency::Optimistic, Concurrency::Locked] {
-        let serial = run_torture(2, 3, 80, 0.7, concurrency, Scheduler::Drr { quantum: 8 }, 13, 1);
-        let sharded = run_torture(2, 3, 80, 0.7, concurrency, Scheduler::Drr { quantum: 8 }, 13, 2);
+        let t = Torture {
+            pods: 2,
+            tenants: 3,
+            ops: 80,
+            conflict: 0.7,
+            concurrency,
+            seed: 13,
+            ..HOT_SET
+        };
+        let serial = run_torture(t, 1);
+        let sharded = run_torture(t, 2);
         assert_no_lost_updates(&serial, 2 * 3 * 80);
         assert_eq!(
             serial.stats,
@@ -293,7 +315,8 @@ fn torture_serial_vs_sharded_byte_identical() {
 #[test]
 fn fifo_and_drr_both_preserve_integrity() {
     for scheduler in [Scheduler::Fifo, Scheduler::Drr { quantum: 16 }] {
-        let out = run_torture(1, 3, 60, 0.9, Concurrency::Optimistic, scheduler, 14, 1);
+        let t = Torture { tenants: 3, ops: 60, conflict: 0.9, scheduler, seed: 14, ..HOT_SET };
+        let out = run_torture(t, 1);
         assert_no_lost_updates(&out, 3 * 60);
     }
 }
