@@ -10,7 +10,7 @@
 
 use cluster::{ClusterConfig, Endpoint, MemoryPool, Testbed};
 use rnicsim::{RKey, Sge, VerbKind, WorkRequest, WrId, INLINE_SGES};
-use simcore::SimTime;
+use simcore::{LatencyHistogram, SimRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -159,6 +159,27 @@ fn steady_state_pool_reads_do_not_allocate() {
         }
     });
     assert_eq!(calls, 0, "pool read path allocated {calls} times ({bytes} bytes)");
+}
+
+/// A latency histogram records into a span it already covers, and merges
+/// a covered span, without touching the heap: per-stage metrics on the
+/// verb hot path rely on this.
+#[test]
+fn covered_histogram_records_do_not_allocate() {
+    let (lo, hi) = (SimTime::from_ns(500).as_ps(), SimTime::from_us(40).as_ps());
+    let mut h = LatencyHistogram::new();
+    h.record_ps(lo);
+    h.record_ps(hi);
+    let mut folded = h.clone();
+    let mut rng = SimRng::new(0x21);
+    let ((calls, bytes), ()) = allocs_during(|| {
+        for _ in 0..10_000 {
+            h.record_ps(lo + rng.gen_range(hi - lo + 1));
+        }
+        folded.merge(&h);
+    });
+    assert_eq!(calls, 0, "covered histogram records allocated {calls} times ({bytes} bytes)");
+    assert_eq!(folded.count(), 10_004);
 }
 
 /// Registration and fleet construction cost what they touch, not what

@@ -85,22 +85,27 @@ const HIST_SUBS: usize = 1 << HIST_SUB_BITS;
 
 /// Streaming log-bucketed latency histogram (HDR-style).
 ///
-/// `record` is O(1) and allocation-free once the bucket array has grown to
-/// cover the observed range (at most 7424 buckets for the full `u64`
-/// picosecond range — constant space no matter how many samples stream
-/// through). Values below [`HIST_LINEAR_MAX`] ps are exact; above, each
-/// octave is split into 128 subbuckets, so any reported quantile is the
-/// true bucket lower bound and under-reads the exact order statistic by
-/// less than 1/128.
+/// Values below [`HIST_LINEAR_MAX`] ps are exact; above, each octave is
+/// split into 128 subbuckets, so any reported quantile is the true bucket
+/// lower bound and under-reads the exact order statistic by less than
+/// 1/128. The full `u64` picosecond range has 7424 buckets, but only the
+/// dense span `[base, base + counts.len())` from the lowest to the highest
+/// bucket observed is stored: µs-scale latencies pay for the few hundred
+/// buckets they touch, not for the ~2000 empty ones below them. `record`
+/// is O(1) and allocation-free once the span covers the sample; widening
+/// allocates exactly the new span.
 ///
-/// `merge` adds bucket counts elementwise, which is commutative and
-/// associative — but the traffic engine still folds per-worker histograms
-/// in worker-index order so aggregate digests are byte-identical between
-/// serial, parallel, and sharded runs by construction rather than by
-/// arithmetic accident.
+/// `merge` adds bucket counts elementwise over the union of both spans,
+/// which is commutative and associative — but the traffic engine still
+/// folds per-worker histograms in worker-index order so aggregate digests
+/// are byte-identical between serial, parallel, and sharded runs by
+/// construction rather than by arithmetic accident.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyHistogram {
+    /// Counts of buckets `base..base + counts.len()`; empty until the
+    /// first sample.
     counts: Vec<u64>,
+    base: usize,
     count: u64,
     sum_ps: u128,
     min_ps: u64,
@@ -110,7 +115,14 @@ pub struct LatencyHistogram {
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        LatencyHistogram { counts: Vec::new(), count: 0, sum_ps: 0, min_ps: u64::MAX, max_ps: 0 }
+        LatencyHistogram {
+            counts: Vec::new(),
+            base: 0,
+            count: 0,
+            sum_ps: 0,
+            min_ps: u64::MAX,
+            max_ps: 0,
+        }
     }
 
     /// Bucket index for a picosecond value.
@@ -143,14 +155,31 @@ impl LatencyHistogram {
         self.record_ps(sample.as_ps());
     }
 
+    /// Widen the stored span to cover buckets `lo..hi`, allocating exactly
+    /// the new span (no amortized slack) and keeping every count in place.
+    #[cold]
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.base = lo;
+        }
+        let lo = lo.min(self.base);
+        let hi = hi.max(self.base + self.counts.len());
+        let mut counts = Vec::with_capacity(hi - lo);
+        counts.resize(self.base - lo, 0);
+        counts.extend_from_slice(&self.counts);
+        counts.resize(hi - lo, 0);
+        self.counts = counts;
+        self.base = lo;
+    }
+
     /// Record one sample given in raw picoseconds.
     #[inline]
     pub fn record_ps(&mut self, v: u64) {
         let idx = Self::index(v);
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
+        if idx < self.base || idx >= self.base + self.counts.len() {
+            self.widen(idx, idx + 1);
         }
-        self.counts[idx] += 1;
+        self.counts[idx - self.base] += 1;
         self.count += 1;
         self.sum_ps += v as u128;
         self.min_ps = self.min_ps.min(v);
@@ -193,10 +222,10 @@ impl LatencyHistogram {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                let v = Self::lower_bound(idx).clamp(self.min_ps, self.max_ps);
+                let v = Self::lower_bound(self.base + i).clamp(self.min_ps, self.max_ps);
                 return Some(SimTime::from_ps(v));
             }
         }
@@ -218,14 +247,19 @@ impl LatencyHistogram {
         self.quantile(0.999)
     }
 
-    /// Absorb another histogram: bucket counts add elementwise, moments
-    /// and extrema fold. O(buckets), independent of sample count.
+    /// Absorb another histogram: bucket counts add elementwise over the
+    /// union of both spans, moments and extrema fold. O(buckets),
+    /// independent of sample count.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, &src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
+        if !other.counts.is_empty() {
+            let (lo, hi) = (other.base, other.base + other.counts.len());
+            if lo < self.base || hi > self.base + self.counts.len() {
+                self.widen(lo, hi);
+            }
+            let at = other.base - self.base;
+            for (dst, &src) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *dst += src;
+            }
         }
         self.count += other.count;
         self.sum_ps += other.sum_ps;
@@ -249,6 +283,11 @@ impl LatencyHistogram {
         eat((self.sum_ps >> 64) as u64);
         eat(self.min_ps);
         eat(self.max_ps);
+        // The buckets below the span are implicit zeros, folded as such so
+        // the digest equals the one over a dense vector from bucket 0.
+        for _ in 0..self.base {
+            eat(0);
+        }
         // Trailing zero buckets don't alter the digest, so histograms that
         // differ only in allocated capacity digest equal.
         let mut last = self.counts.len();
@@ -436,6 +475,7 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn summary_order_statistics() {
@@ -619,6 +659,188 @@ mod tests {
         let mut padded = whole.clone();
         padded.counts.resize(padded.counts.len() + 64, 0);
         assert_eq!(padded.digest(), whole.digest());
+    }
+
+    /// The dense layout the span storage replaced, kept as the reference:
+    /// one count per bucket from index 0 up to the highest seen.
+    #[derive(Clone)]
+    struct DenseHist {
+        counts: Vec<u64>,
+        sum_ps: u128,
+        min_ps: u64,
+        max_ps: u64,
+    }
+
+    impl DenseHist {
+        fn new() -> Self {
+            DenseHist { counts: Vec::new(), sum_ps: 0, min_ps: u64::MAX, max_ps: 0 }
+        }
+
+        fn record_ps(&mut self, v: u64) {
+            let idx = LatencyHistogram::index(v);
+            if idx >= self.counts.len() {
+                self.counts.resize(idx + 1, 0);
+            }
+            self.counts[idx] += 1;
+            self.sum_ps += v as u128;
+            self.min_ps = self.min_ps.min(v);
+            self.max_ps = self.max_ps.max(v);
+        }
+
+        fn merge(&mut self, other: &DenseHist) {
+            if other.counts.len() > self.counts.len() {
+                self.counts.resize(other.counts.len(), 0);
+            }
+            for (dst, &src) in self.counts.iter_mut().zip(&other.counts) {
+                *dst += src;
+            }
+            self.sum_ps += other.sum_ps;
+            self.min_ps = self.min_ps.min(other.min_ps);
+            self.max_ps = self.max_ps.max(other.max_ps);
+        }
+
+        fn count(&self) -> u64 {
+            self.counts.iter().sum()
+        }
+
+        fn quantile_ps(&self, q: f64) -> Option<u64> {
+            let n = self.count();
+            if n == 0 {
+                return None;
+            }
+            let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
+            let mut seen = 0;
+            let idx = self.counts.iter().position(|&c| {
+                seen += c;
+                seen >= rank
+            })?;
+            Some(LatencyHistogram::lower_bound(idx).clamp(self.min_ps, self.max_ps))
+        }
+
+        fn digest(&self) -> u64 {
+            let mut h = 0xcbf29ce484222325u64;
+            let mut eat = |v: u64| {
+                for b in v.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x100000001b3);
+                }
+            };
+            eat(self.count());
+            eat(self.sum_ps as u64);
+            eat((self.sum_ps >> 64) as u64);
+            eat(self.min_ps);
+            eat(self.max_ps);
+            let last = self.counts.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
+            for &c in &self.counts[..last] {
+                eat(c);
+            }
+            h
+        }
+    }
+
+    fn assert_matches_dense(h: &LatencyHistogram, d: &DenseHist, what: &str) {
+        let n = d.count();
+        let at = |v: u64| (n > 0).then(|| SimTime::from_ps(v));
+        assert_eq!(h.digest(), d.digest(), "{what}: digest");
+        assert_eq!(h.count(), n, "{what}: count");
+        assert_eq!(h.min(), at(d.min_ps), "{what}: min");
+        assert_eq!(h.max(), at(d.max_ps), "{what}: max");
+        assert_eq!(h.mean(), at((d.sum_ps / n.max(1) as u128) as u64), "{what}: mean");
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(h.quantile(q), d.quantile_ps(q).map(SimTime::from_ps), "{what}: q={q}");
+        }
+    }
+
+    /// `n` samples uniform in `[lo, lo + width)` ps, recorded in both layouts.
+    fn fill(rng: &mut SimRng, lo: u64, width: u64, n: usize) -> (LatencyHistogram, DenseHist) {
+        let (mut h, mut d) = (LatencyHistogram::new(), DenseHist::new());
+        for _ in 0..n {
+            let v = lo + rng.gen_range(width);
+            h.record_ps(v);
+            d.record_ps(v);
+        }
+        (h, d)
+    }
+
+    /// The span layout against the dense reference, fed the same seeded
+    /// samples: digests, quantiles and moments agree on linear-range
+    /// values, on samples landing below the current span, on merges of
+    /// empty, disjoint and overlapping spans in both orders, and through
+    /// `LatencySeries`.
+    #[test]
+    fn span_histogram_matches_dense_reference() {
+        let mut rng = SimRng::new(0x5BA7);
+        let empty = (LatencyHistogram::new(), DenseHist::new());
+        let linear = fill(&mut rng, 0, HIST_LINEAR_MAX, 600);
+        let low = fill(&mut rng, 1_000_000, 1_000_000, 400); // 1–2 µs
+        let overlap = fill(&mut rng, 1_500_000, 3_000_000, 400); // 1.5–4.5 µs
+        let high = fill(&mut rng, 10_000_000, 10_000_000, 400); // 10–20 µs
+
+        // Descending octaves: every sample lands below the current span.
+        let mut below = (LatencyHistogram::new(), DenseHist::new());
+        for k in (0..42).rev() {
+            let v = (1u64 << k) + rng.gen_range(1 << k);
+            below.0.record_ps(v);
+            below.1.record_ps(v);
+            assert_matches_dense(&below.0, &below.1, &format!("below the span, 2^{k}"));
+        }
+        let cases = [
+            ("empty", &empty),
+            ("linear", &linear),
+            ("low", &low),
+            ("overlap", &overlap),
+            ("high", &high),
+            ("below", &below),
+        ];
+        for (an, a) in cases {
+            assert_matches_dense(&a.0, &a.1, an);
+            for (bn, b) in cases {
+                let (mut h, mut d) = (a.0.clone(), a.1.clone());
+                h.merge(&b.0);
+                d.merge(&b.1);
+                assert_matches_dense(&h, &d, &format!("{an} + {bn}"));
+            }
+        }
+
+        // Per-window histograms of two series, merged window by window.
+        let window = SimTime::from_us(5);
+        let mut series = [LatencySeries::new(window), LatencySeries::new(window)];
+        let mut dense: Vec<DenseHist> = Vec::new();
+        for i in 0..4000 {
+            let at = rng.gen_range(200_000_000);
+            let lat = rng.next_u64() >> (20 + rng.gen_range(30));
+            series[i % 2].record(SimTime::from_ps(at), SimTime::from_ps(lat));
+            let w = (at / window.as_ps()) as usize;
+            if w >= dense.len() {
+                dense.resize_with(w + 1, DenseHist::new);
+            }
+            dense[w].record_ps(lat);
+        }
+        let [mut merged, other] = series;
+        merged.merge(&other);
+        let want: Vec<(usize, &DenseHist)> =
+            dense.iter().enumerate().filter(|(_, d)| d.count() > 0).collect();
+        assert_eq!(merged.windows().count(), want.len());
+        let mut total = DenseHist::new();
+        for ((t, h), (w, d)) in merged.windows().zip(want) {
+            assert_eq!(t, SimTime::from_ps(w as u64 * window.as_ps()));
+            assert_matches_dense(h, d, &format!("window {w}"));
+            total.merge(d);
+        }
+        assert_matches_dense(&merged.total(), &total, "series total");
+    }
+
+    /// Samples within one octave allocate at most 256 buckets wherever the
+    /// octave sits; the dense layout held every bucket from 0 (~2,300 at
+    /// 10 µs) and doubled past them.
+    #[test]
+    fn one_octave_allocates_at_most_256_buckets() {
+        let mut rng = SimRng::new(0x0C7A);
+        for lo in [20u64, 300, 2_000_000, 10_000_000, 1 << 40] {
+            let (h, _) = fill(&mut rng, lo, lo, 5_000);
+            let buckets = h.counts.capacity();
+            assert!(buckets <= 256, "octave at {lo} ps allocated {buckets} buckets");
+        }
     }
 
     #[test]

@@ -295,6 +295,8 @@ pub struct JoinDriver {
     zipf: ZipfAlias,
     rng: SimRng,
     pending: Vec<(SimTime, u64)>,
+    /// The doorbell batch, reused by every flush.
+    wrs: Vec<WorkRequest>,
 }
 
 impl JoinDriver {
@@ -322,24 +324,19 @@ impl JoinDriver {
         if self.pending.is_empty() {
             return;
         }
-        let wrs: Vec<WorkRequest> = self
-            .pending
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, key))| {
-                WorkRequest::read(
-                    i as u64,
-                    Sge::new(self.staging, i as u64 * JOIN_TUPLE_BYTES, JOIN_TUPLE_BYTES),
-                    self.tuples,
-                    key * JOIN_TUPLE_BYTES,
-                )
-            })
-            .collect();
-        let cqes = tb.post_scratch(t, self.conn, &wrs);
+        self.wrs.clear();
+        self.wrs.extend(self.pending.iter().enumerate().map(|(i, &(_, key))| {
+            WorkRequest::read(
+                i as u64,
+                Sge::new(self.staging, i as u64 * JOIN_TUPLE_BYTES, JOIN_TUPLE_BYTES),
+                self.tuples,
+                key * JOIN_TUPLE_BYTES,
+            )
+        }));
+        let cqes = tb.post_scratch(t, self.conn, &self.wrs);
         debug_assert_eq!(cqes.len(), self.pending.len());
-        let dones: Vec<SimTime> = cqes.iter().map(|c| c.at + apps::join::PROBE_COST).collect();
-        for ((arrival, _), done) in self.pending.drain(..).zip(dones) {
-            out.push((arrival, done));
+        for ((arrival, _), cqe) in self.pending.drain(..).zip(cqes) {
+            out.push((arrival, cqe.at + apps::join::PROBE_COST));
         }
     }
 }
@@ -499,6 +496,7 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
                         zipf: ZipfAlias::paper(JOIN_TUPLES),
                         rng: root.split(2000 + widx as u64),
                         pending: Vec::new(),
+                        wrs: Vec::new(),
                     })
                 }
                 AppKind::Dlog => {

@@ -15,6 +15,9 @@ echo "== tests (whole workspace, via default-members) =="
 # bare command runs every workspace test, not just the root package's.
 cargo test -q --offline
 
+echo "== simbench tests (the benchmark builds against the public APIs) =="
+cargo test --offline --manifest-path simbench/Cargo.toml
+
 echo "== clippy =="
 cargo clippy --all-targets --offline -- -D warnings
 
