@@ -4,16 +4,16 @@
 //! Applications in this reproduction move *actual data* — the hashtable
 //! stores key-value bytes, the join joins real tuples — so correctness is
 //! checkable, while all timing comes from the device models. A backed
-//! region is a table of fixed-size chunk slots ([`CHUNK_BYTES`] = 64
-//! KiB); registration allocates nothing. An untouched chunk reads as
-//! zeros (served from one static zero page, like the kernel's shared zero
-//! page); the first write of *non-zero* bytes materializes it, growing the
-//! slot table just far enough to hold it. Writing zeros into an
-//! unmaterialized chunk is elided — the chunk already reads as zeros, so
-//! eliding is byte-identical by definition. This is what makes
-//! fleet-scale runs affordable: a 2 GiB registration costs nothing until
-//! written, and only the chunks that ever hold non-zero data (plus the
-//! slot table up to the highest of them) cost real memory.
+//! region is a table of fixed-size page slots ([`CHUNK_BYTES`] = 4 KiB,
+//! the RNIC's MTT page size); registration allocates nothing. An
+//! untouched page reads as zeros (served from one static zero page, like
+//! the kernel's shared zero page); the first write of *non-zero* bytes
+//! materializes it, growing the slot table just far enough to hold it.
+//! Writing zeros into an unmaterialized page is elided — the page already
+//! reads as zeros, so eliding is byte-identical by definition. This is
+//! what makes fleet-scale runs affordable: a 2 GiB registration costs
+//! nothing until written, and only the pages that ever hold non-zero data
+//! (plus the slot table up to the highest of them) cost real memory.
 //!
 //! Regions used purely as benchmark targets can still be registered
 //! *unbacked*: writes to them are timed but discarded, reads return
@@ -23,10 +23,11 @@
 //! the pool is a plain `Vec` indexed by id — region lookup on the verb hot
 //! path is a bounds-checked array index, not a hash. The data-effect fast
 //! paths ([`try_slice`]/[`try_slice_mut`]) expose a span as one borrowed
-//! slice when it lies inside a single chunk (the common case: payloads
-//! are far smaller than 64 KiB); a span that crosses a chunk seam returns
-//! `None` and callers fall back to the scratch-assembled paths
-//! ([`read_view`]/[`read_into`]/[`write`]), which are byte-identical.
+//! slice when it lies inside a single page (the common case: verb
+//! payloads are tens to hundreds of bytes); a span that crosses a page
+//! seam returns `None` and callers fall back to the scratch-assembled
+//! paths ([`read_view`]/[`read_into`]/[`write`]), which are
+//! byte-identical.
 //!
 //! [`try_slice`]: MemoryPool::try_slice
 //! [`try_slice_mut`]: MemoryPool::try_slice_mut
@@ -34,11 +35,17 @@
 
 use rnicsim::MrId;
 
-/// Chunk (page) size of sparse backed regions. 64 KiB: big enough that
-/// virtually every verb payload fits in one chunk (the slice fast paths
-/// stay one `memcpy`), small enough that a sparsely-touched region only
-/// materializes a sliver of its registered length.
-pub const CHUNK_BYTES: u64 = 64 * 1024;
+/// Chunk (page) size of sparse backed regions. 4 KiB, the page the RNIC
+/// translates through its MTT: a sparsely-touched region materializes
+/// only the pages its writes land in, and verb payloads are small enough
+/// that the seam fallback of the slice fast paths stays rare.
+pub const CHUNK_BYTES: u64 = 4 * 1024;
+
+/// Frame of [`MemoryPool::resident_digest`]: 64 KiB, fixed independently
+/// of [`CHUNK_BYTES`] so that digests pinned by experiments and
+/// benchmarks do not depend on the page size.
+const DIGEST_FRAME: u64 = 64 * 1024;
+const _: () = assert!(DIGEST_FRAME.is_multiple_of(CHUNK_BYTES));
 
 /// The shared zero page: unmaterialized chunks read from here, so the
 /// read fast path is allocation-free even on never-written memory.
@@ -463,12 +470,17 @@ impl MemoryPool {
         }
     }
 
-    /// FNV-1a digest of a region's *materialized* chunks, folded as
-    /// `(chunk index, chunk bytes)` in ascending order. Two byte-identical
-    /// runs materialize identical chunk sets (materialization is a
-    /// deterministic function of the written bytes), so this digest is a
-    /// determinism gate for fleet-scale memory without walking the full
-    /// registered length. Unbacked regions digest to the FNV basis.
+    /// FNV-1a digest of a region's *materialized* memory, in 64 KiB
+    /// digest frames: for each frame holding at least one materialized
+    /// page, in ascending order, fold the frame index (`u64`, little
+    /// endian), then the frame's bytes — holes read as zeros, and the last
+    /// frame is short when the region length is not a frame multiple. A
+    /// page materializes exactly when a nonzero piece lands in it, so the
+    /// frames folded are the frames that ever received a nonzero byte,
+    /// whatever the page size. Two byte-identical runs therefore digest
+    /// identically, which makes this a determinism gate for fleet-scale
+    /// memory without walking the full registered length. Unbacked
+    /// regions digest to the FNV basis.
     pub fn resident_digest(&self, mr: MrId) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -479,11 +491,15 @@ impl MemoryPool {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        if let Backing::Sparse(chunks) = &self.expect_region(mr).backing {
-            for (ci, chunk) in chunks.iter().enumerate() {
-                if let Some(c) = chunk {
-                    fold(&(ci as u64).to_le_bytes());
-                    fold(c);
+        let r = self.expect_region(mr);
+        if let Backing::Sparse(chunks) = &r.backing {
+            let per_frame = (DIGEST_FRAME / CHUNK_BYTES) as usize;
+            for (fi, frame) in chunks.chunks(per_frame).enumerate() {
+                if frame.iter().any(Option::is_some) {
+                    fold(&(fi as u64).to_le_bytes());
+                    for ci in fi * per_frame..((fi + 1) * per_frame).min(r.slots()) {
+                        fold(chunk(chunks, ci).unwrap_or(&ZERO_CHUNK[..r.chunk_len(ci)]));
+                    }
                 }
             }
         }
@@ -572,6 +588,18 @@ mod tests {
         m.write(mr, 500 << 20, b"one byte of truth");
         assert_eq!(m.resident_bytes(), CHUNK_BYTES, "first write materializes one chunk");
         assert_eq!(m.read(mr, 500 << 20, 17), b"one byte of truth");
+    }
+
+    #[test]
+    fn one_small_write_costs_one_page_and_one_slot() {
+        let mut m = MemoryPool::new();
+        let mr = m.register(0, 256 << 20);
+        m.write(mr, 0, &[0xA5; 32]);
+        assert_eq!(m.resident_bytes(), CHUNK_BYTES, "a 32 B write materializes one page");
+        let Backing::Sparse(chunks) = &m.region(mr).unwrap().backing else {
+            panic!("registered backed");
+        };
+        assert_eq!((chunks.len(), chunks.capacity()), (1, 1), "slot table of one entry");
     }
 
     #[test]

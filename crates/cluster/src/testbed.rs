@@ -1304,7 +1304,7 @@ mod tests {
 
     /// An in-bounds offset for `len` bytes of a `region_len` region: half
     /// the time the span starts or ends on, one byte before, or one byte
-    /// after a 64 KiB chunk seam.
+    /// after a chunk seam.
     fn diff_offset(rng: &mut simcore::SimRng, region_len: u64, len: u64) -> u64 {
         let fallback = rng.gen_range(region_len - len + 1);
         if rng.gen_bool(0.5) {
@@ -1349,13 +1349,14 @@ mod tests {
         let (mut scratch, mut staged) = (Vec::new(), Vec::new());
         // Zero payloads onto never-written chunks stay elided: a gather of
         // never-written and unbacked bytes written into region 1's chunk
-        // 3, then that chunk read back into the client's region 1.
-        let (dst, off) = (MrId(1), 3 * CHUNK_BYTES);
+        // 3, then that chunk read back into a later span of the client's
+        // region 1 chunk 3.
+        let (dst, off, span) = (MrId(1), 3 * CHUNK_BYTES, CHUNK_BYTES / 16);
         let zero_write = WorkRequest {
-            sgl: [Sge::new(dst, off, 2048), Sge::new(DIFF_UNBACKED, 0, 2048)].into(),
+            sgl: [Sge::new(dst, off, span / 2), Sge::new(DIFF_UNBACKED, 0, span / 2)].into(),
             ..WorkRequest::write(0, Sge::new(dst, off, 0), rkey(dst), off)
         };
-        let zero_read = WorkRequest::read(1, Sge::new(dst, off + 4096, 4096), rkey(dst), off);
+        let zero_read = WorkRequest::read(1, Sge::new(dst, off + span, span), rkey(dst), off);
         let before = (fast_c.mem.resident_bytes(), fast_s.mem.resident_bytes());
         write_effect(&fast_c, &mut fast_s, &zero_write, dst, off, &mut scratch);
         read_effect(&mut fast_c, &fast_s, &zero_read, dst, off, &mut scratch);

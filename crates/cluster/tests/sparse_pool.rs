@@ -353,3 +353,152 @@ fn shard_migration_preserves_sparse_holes() {
         assert_eq!(res, expect, "machine {m} materialized unexpected pages");
     }
 }
+
+/// The digest frame of [`MemoryPool::resident_digest`]: 64 KiB, fixed
+/// independently of the pool's page size ([`CHUNK_BYTES`]).
+const FRAME: u64 = 64 * 1024;
+
+/// Test-only reference for `resident_digest`: per region, the set of
+/// 64 KiB frames that ever received a nonzero byte. The digest folds, in
+/// ascending order, each such frame's index and then its bytes as read
+/// back through `read()` (holes included, the last frame short).
+#[derive(Default)]
+struct FrameReference {
+    touched: Vec<std::collections::BTreeSet<u64>>,
+}
+
+impl FrameReference {
+    fn register(&mut self) {
+        self.touched.push(Default::default());
+    }
+
+    /// Record a write of `bytes` at `off`: every frame whose share of the
+    /// span is nonzero becomes (and stays) part of the digest.
+    fn write(&mut self, mr: MrId, off: u64, bytes: &[u8]) {
+        for (i, &b) in bytes.iter().enumerate() {
+            if b != 0 {
+                self.touched[mr.0 as usize].insert((off + i as u64) / FRAME);
+            }
+        }
+    }
+
+    fn digest(&self, pool: &MemoryPool, mr: MrId) -> u64 {
+        let len = pool.region(mr).expect("live").len;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for &f in &self.touched[mr.0 as usize] {
+            fold(&f.to_le_bytes());
+            fold(&pool.read(mr, f * FRAME, FRAME.min(len - f * FRAME)));
+        }
+        h
+    }
+}
+
+/// An offset for a `n`-byte span of a `len`-byte region, biased so that
+/// about half the spans start just before a 4 KiB or 64 KiB seam and
+/// straddle it.
+fn seam_offset(rng: &mut SimRng, len: u64, n: u64) -> u64 {
+    let room = len - n + 1;
+    if rng.gen_bool(0.5) {
+        let grain = if rng.gen_bool(0.5) { 4096 } else { FRAME };
+        let seam = grain * (1 + rng.gen_range((len / grain).max(1)));
+        let off = seam.saturating_sub(1 + rng.gen_range(n.min(64)));
+        if off < room {
+            return off;
+        }
+    }
+    rng.gen_range(room)
+}
+
+/// `resident_digest` is defined over 64 KiB frames, so it does not depend
+/// on the page size: after a seeded soup of zero and nonzero writes,
+/// `write_zeros`, `copy_within` and `store_u64` (spans straddling 4 KiB
+/// and 64 KiB seams, one region not a multiple of 64 KiB), every region's
+/// digest equals the frame reference's.
+#[test]
+fn resident_digest_matches_frame_reference() {
+    let mut rng = SimRng::new(0xF4A3_E5E5);
+    let mut pool = MemoryPool::new();
+    let mut frames = FrameReference::default();
+    let lens = [3 * FRAME + 5000, 4 * FRAME, FRAME / 2 + 123];
+    let regions: Vec<MrId> = lens
+        .iter()
+        .map(|&len| {
+            frames.register();
+            pool.register(0, len)
+        })
+        .collect();
+    let pick = |rng: &mut SimRng| rng.gen_range(regions.len() as u64) as usize;
+
+    for step in 0..3000u32 {
+        let i = pick(&mut rng);
+        let (mr, len) = (regions[i], lens[i]);
+        let n =
+            if rng.gen_bool(0.1) { 1 + rng.gen_range(2 * FRAME) } else { 1 + rng.gen_range(300) };
+        let n = n.min(len);
+        let off = seam_offset(&mut rng, len, n);
+        match rng.gen_range(10) {
+            0..=3 => {
+                let bytes: Vec<u8> = if rng.gen_bool(0.3) {
+                    vec![0; n as usize]
+                } else {
+                    (0..n).map(|_| rng.gen_range(4) as u8).collect()
+                };
+                pool.write(mr, off, &bytes);
+                frames.write(mr, off, &bytes);
+            }
+            4 | 5 => pool.write_zeros(mr, off, n),
+            6 | 7 => {
+                let j = (i + 1 + rng.gen_range(regions.len() as u64 - 1) as usize) % regions.len();
+                let (dst, dst_len) = (regions[j], lens[j]);
+                let n = n.min(dst_len);
+                let src_off = seam_offset(&mut rng, len, n);
+                let dst_off = seam_offset(&mut rng, dst_len, n);
+                let bytes = pool.read(mr, src_off, n);
+                pool.copy_within(mr, src_off, dst, dst_off, n);
+                frames.write(dst, dst_off, &bytes);
+            }
+            _ => {
+                let off = seam_offset(&mut rng, len, 8);
+                let v = if rng.gen_bool(0.2) { 0 } else { rng.gen_range(u64::MAX) };
+                pool.store_u64(mr, off, v);
+                frames.write(mr, off, &v.to_le_bytes());
+            }
+        }
+        if step % 250 == 0 {
+            for &mr in &regions {
+                assert_eq!(pool.resident_digest(mr), frames.digest(&pool, mr), "step {step}");
+            }
+        }
+    }
+    for &mr in &regions {
+        assert_eq!(pool.resident_digest(mr), frames.digest(&pool, mr), "final {mr:?}");
+    }
+}
+
+/// One fixed sequence's digest, recorded with 64 KiB pages: a page-size
+/// change must reproduce it exactly (fig6-xxl and simbench pin digests of
+/// the same kind). It covers a frame with holes, a write straddling a
+/// 64 KiB seam, a zero write and a zero copy (both elided), a real copy,
+/// a word store across a 4 KiB seam, and the short last frame.
+#[test]
+fn resident_digest_of_a_fixed_sequence_is_pinned() {
+    let mut pool = MemoryPool::new();
+    let a = pool.register(0, 3 * FRAME + 5000);
+    let b = pool.register(0, 2 * FRAME);
+    pool.write(a, 100, b"head of frame zero");
+    pool.write(a, 9 * 4096 + 7, b"same frame, a later page");
+    pool.write(a, FRAME - 6, b"straddles a frame seam");
+    pool.write(a, 2 * FRAME + 10, &[0; 512]);
+    pool.write_zeros(a, 2 * FRAME, 4096);
+    pool.copy_within(b, 0, a, 2 * FRAME + 40, 4096);
+    pool.copy_within(a, 90, b, FRAME + 4096 - 20, 64);
+    pool.store_u64(b, 4096 - 3, 0x0123_4567_89AB_CDEF);
+    pool.write(a, 3 * FRAME + 4990, b"tail bytes");
+    let digests = [pool.resident_digest(a), pool.resident_digest(b)];
+    assert_eq!(digests, [0x4e65_15b8_be5b_8359, 0xaaee_5c36_7b5b_a69c]);
+}

@@ -31,7 +31,13 @@ echo "== determinism check (serial vs parallel vs sharded) =="
 cargo run --release --offline -p bench -- --check-determinism
 
 echo "== fig6-xxl fleet sweep (2048 machines on the sparse lazy-page pool) =="
-cargo run --release --offline -p bench -- fig6-xxl >/dev/null
+# The determinism gate only compares legs of one build, so the fleet
+# memory digests are pinned here: a change to page placement or content
+# must not pass silently.
+xxl=$(cargo run --release --offline -p bench -- fig6-xxl)
+for pinned in "write-seq-seq .* digest 1a3dc11041dec325" "write-rand-rand .* digest 2e1cc107103fbb25"; do
+  grep -q "$pinned" <<<"$xxl" || { echo "fig6-xxl: no note matches '$pinned'"; exit 1; }
+done
 
 echo "== open-loop traffic smoke sweep (3-way determinism, all apps) =="
 cargo run --release --offline -p bench -- --traffic all --load 0.25 --check-determinism
