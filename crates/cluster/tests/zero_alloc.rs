@@ -10,7 +10,7 @@
 
 use cluster::{ClusterConfig, Endpoint, MemoryPool, Testbed};
 use rnicsim::{RKey, Sge, VerbKind, WorkRequest, WrId, INLINE_SGES};
-use simcore::{LatencyHistogram, SimRng, SimTime};
+use simcore::{BandwidthLink, KServer, LatencyHistogram, SimRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -180,6 +180,37 @@ fn covered_histogram_records_do_not_allocate() {
     });
     assert_eq!(calls, 0, "covered histogram records allocated {calls} times ({bytes} bytes)");
     assert_eq!(folded.count(), 10_004);
+}
+
+/// A full resource calendar evicts its oldest interval instead of
+/// growing: once a link and a single-unit server each hold 64 disjoint
+/// busy intervals (the calendar's cap), further disjoint bookings, at
+/// the tail or in an earlier gap, never touch the heap.
+#[test]
+fn full_resource_calendars_do_not_allocate() {
+    let mut link = BandwidthLink::new(1_000, SimTime::from_ns(5));
+    let mut server = KServer::new(1);
+    let slot = |i: u64| SimTime::from_ns(100 * i);
+    let service = SimTime::from_ns(10);
+    let mut book = |ready: SimTime| {
+        link.transfer(ready, 10); // 10 B at 1 ns/B: the same 10 ns
+        server.acquire(ready, service)
+    };
+    for i in 0..64 {
+        book(slot(i));
+    }
+    let ((calls, bytes), ()) = allocs_during(|| {
+        for i in 64..10_064 {
+            assert_eq!(book(slot(i)).0, slot(i));
+        }
+        // Each gap fill lands between the previous tail and a new one.
+        for i in 10_064..11_064 {
+            book(slot(i));
+            let ready = slot(i) - SimTime::from_ns(50);
+            assert_eq!(book(ready).0, ready);
+        }
+    });
+    assert_eq!(calls, 0, "full calendars allocated {calls} times ({bytes} bytes)");
 }
 
 /// Registration and fleet construction cost what they touch, not what

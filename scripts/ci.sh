@@ -18,6 +18,18 @@ cargo test -q --offline
 echo "== simbench tests (the benchmark builds against the public APIs) =="
 cargo test --offline --manifest-path simbench/Cargo.toml
 
+echo "== simbench full-size seed-42 run (expected.txt pins) =="
+# simbench exits 0 even when a check fails, and its smoke tests run only
+# seed 7 at --quick sizes; only a full-size seed-42 run (under a minute)
+# checks the digests pinned in simbench/expected.txt, so gate on its
+# result line.
+sb=$(cargo run --release --offline --quiet --manifest-path simbench/Cargo.toml -- --seed 42 --seconds 1)
+grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$sb" || {
+  grep -E '^\{"correct"' <<<"$sb" | cut -c1-120
+  echo "simbench: seed-42 run is not correct with 0 failed checks"
+  exit 1
+}
+
 echo "== clippy =="
 cargo clippy --all-targets --offline -- -D warnings
 
