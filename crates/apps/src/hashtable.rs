@@ -454,7 +454,7 @@ pub fn run_hashtable_debug(cfg: &HtConfig) -> (HtReport, Testbed) {
         write_fraction: cfg.write_fraction,
         zipf_theta: 0.99,
     };
-    let probe_stream = KvStream::new(spec.clone(), SimRng::new(cfg.seed));
+    let probe_stream = KvStream::new(spec, SimRng::new(cfg.seed));
     // Interleave hotness ranks across blocks so the very hottest keys do
     // not all contend for one block's lock: rank r lands in block
     // (r % num_blocks), slot (r / num_blocks).
@@ -516,7 +516,7 @@ pub fn run_hashtable_debug(cfg: &HtConfig) -> (HtReport, Testbed) {
             socket,
             conns,
             variant: cfg.variant,
-            stream: KvStream::new(spec.clone(), root_rng.split(lane as u64 + 1)),
+            stream: probe_stream.fork(root_rng.split(lane as u64 + 1)),
             staging,
             shadow,
             tables: Rc::clone(&tables),

@@ -188,9 +188,9 @@ fn check_determinism(scale: Scale) {
     if a != b {
         determinism_failed("serial vs parallel", &a, &b);
     }
-    // Third leg: the conservative sharded engine. fig8 runs six machine
-    // pairs concurrently on two shards; the windowed barrier protocol
-    // must reproduce the serial interleaving exactly.
+    // Third leg: the threaded component fan-out. fig8 runs six machine
+    // pairs on two shards; each shard's thread must reproduce the serial
+    // results exactly.
     set_parallelism(Some(1));
     cluster::set_shards_default(Some(2));
     let sharded: Vec<GroupRun> = ids.iter().map(|id| run_group(id.to_string(), scale)).collect();

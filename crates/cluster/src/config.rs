@@ -124,14 +124,6 @@ impl ClusterConfig {
     pub fn port_socket(&self, port: usize) -> usize {
         port % self.host.sockets
     }
-
-    /// The fabric's minimum link latency — the one-way fixed wire delay,
-    /// below which no machine can affect another. This is the
-    /// conservative-simulation *lookahead*: a shard may run this far
-    /// ahead of the global clock without risking a causality violation.
-    pub fn min_link_latency(&self) -> SimTime {
-        self.rnic.wire_fixed
-    }
 }
 
 #[cfg(test)]

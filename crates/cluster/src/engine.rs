@@ -49,66 +49,44 @@ pub fn run_clients(
         q.push(SimTime::ZERO, i);
     }
     let mut last = SimTime::ZERO;
-    drive_steps(tb, &mut q, deadline, None, &mut last, &mut |tb, now, i| clients[i].step(now, tb));
+    drive_steps(tb, &mut q, deadline, &mut last, &mut |tb, now, i| clients[i].step(now, tb));
     last
 }
 
-/// The engine's inner loop, shared by the serial [`run_clients`] path and
-/// the sharded coordinator (`crate::shard`): pop the earliest wake-up,
-/// step that client, and re-queue its next wake-up — until the queue
-/// drains, the deadline passes, or (when `window_end` is set) the next
-/// event falls outside the conservative window. A window-limited call
-/// leaves the out-of-window event queued so the next window resumes
-/// exactly where this one stopped; a deadline hit *clears* the queue
-/// (every remaining event is even later, so dropping them is
-/// serially equivalent) so a windowed caller observes termination.
+/// The engine's inner loop, shared by [`run_clients`] and the pinned
+/// component runtime (`crate::shard`): pop the earliest wake-up, step
+/// that client, and re-queue its next wake-up — until the queue drains or
+/// the deadline passes. A deadline hit returns with the later events
+/// still queued; callers drop or clear the queue.
 pub(crate) fn drive_steps(
     tb: &mut Testbed,
     q: &mut EventQueue<usize>,
     deadline: SimTime,
-    window_end: Option<SimTime>,
     last: &mut SimTime,
     step: &mut dyn FnMut(&mut Testbed, SimTime, usize) -> Step,
 ) {
-    'drain: loop {
-        match q.peek_time() {
-            None => break,
-            Some(pt) if window_end.is_some_and(|e| pt >= e) => break,
-            Some(_) => {}
-        }
-        let (now, i) = q.pop().expect("peeked");
+    while let Some((mut now, i)) = q.pop() {
         if now > deadline {
-            while q.pop().is_some() {}
-            break;
+            return;
         }
         *last = (*last).max(now);
-        let mut now = now;
-        loop {
-            match step(tb, now, i) {
-                Step::Yield(t) => {
-                    assert!(t >= now, "client {i} yielded into the past");
-                    // Fast path: if no pending event fires strictly before
-                    // `t`, this client is next anyway — re-step it inline
-                    // instead of a pop/re-push round trip through the
-                    // queue. An *equal*-time pending event was enqueued
-                    // earlier and must fire first, so only a strictly
-                    // later (or absent) queue head lets us continue; a
-                    // window boundary likewise forces the slow path so
-                    // the wake-up lands in the queue for the next window.
-                    if q.peek_time().is_none_or(|pt| pt > t) && window_end.is_none_or(|e| t < e) {
-                        if t > deadline {
-                            while q.pop().is_some() {}
-                            break 'drain;
-                        }
-                        *last = (*last).max(t);
-                        now = t;
-                        continue;
-                    }
-                    q.push(t, i);
-                }
-                Step::Done => {}
+        while let Step::Yield(t) = step(tb, now, i) {
+            assert!(t >= now, "client {i} yielded into the past");
+            // Fast path: if no pending event fires at or before `t`, this
+            // client is next anyway — re-step it inline instead of a
+            // pop/re-push round trip through the queue. An *equal*-time
+            // pending event was enqueued earlier and must fire first, so
+            // only a strictly later (or absent) queue head lets us
+            // continue.
+            if q.peek_time().is_some_and(|pt| pt <= t) {
+                q.push(t, i);
+                break;
             }
-            break;
+            if t > deadline {
+                return;
+            }
+            *last = (*last).max(t);
+            now = t;
         }
     }
 }

@@ -1,32 +1,27 @@
-//! Sharded client runtime: conservative parallel simulation of the
-//! cluster, machine-partitioned.
+//! Pinned-client runtime: one connected component at a time.
 //!
-//! [`run_clients_sharded`] is the parallel counterpart of
-//! [`run_clients`](crate::run_clients): each client is [`Pinned`] to its
-//! home machine, connections are grouped into *components* (machines
-//! reachable from one another through some connection), and whole
-//! components are dealt across shards. Each shard takes ownership of its
-//! machines' state ([`Testbed::split_shards`]) plus a private event
-//! queue, and all shards advance concurrently under the conservative
-//! window protocol of [`simcore::shard`].
+//! [`run_clients_sharded`] drives clients [`Pinned`] to their home
+//! machines. Machines joined by any connection form a *component*, and
+//! clients in different components share no machine, connection, or
+//! memory, so their relative order is unobservable. The runtime therefore
+//! steps each component to completion on its own event queue, one after
+//! another. The single-queue [`run_clients`](crate::run_clients)
+//! interleaving restricted to one component is that component's own push
+//! order, so the result is byte-identical; and one component's port
+//! calendars, MTT/QPC caches and slot tables stay hot while it runs,
+//! instead of a round-robin over the whole cluster.
 //!
-//! Because the partition closes over every connection, a client can only
-//! ever touch machines its own shard owns — shards exchange *zero*
-//! messages, so the run uses [`Lookahead::Unbounded`]: one window, no
-//! barriers, and byte-identical state to the serial engine (each shard
-//! replays exactly the serial interleaving restricted to its clients;
-//! clients on different shards share no machine, connection, or memory,
-//! so their relative order is unobservable). A verb that does reach a
-//! foreign machine panics — see `Testbed::split_shards` — rather than
-//! silently corrupting the causal order. [`run_clients_windowed`]
-//! exposes the finite-lookahead mode the cross-shard traffic engine
-//! (ROADMAP item 2) will build on; today it must produce the same bytes,
-//! which the tests pin.
+//! At one shard the components run on the calling thread against the
+//! whole testbed. At more, [`shard_plan`]'s dealing gives whole components
+//! to shards, [`Testbed::split_shards`] moves each shard's machines into a
+//! sub-testbed, and scoped threads run their shards' components in turn;
+//! per-thread [`opcount`] deltas fold back in thread order. Either way a
+//! verb that reaches outside the component being stepped panics (see
+//! `Testbed::post_into`) rather than silently reordering effects.
 
 use crate::engine::{drive_steps, Client};
 use crate::testbed::Testbed;
-use simcore::shard::{run_sharded, CrossMsg, Lookahead, ShardWorker};
-use simcore::{EventQueue, SimTime};
+use simcore::{opcount, EventQueue, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide default shard count: 0 = auto (one shard per available
@@ -49,7 +44,7 @@ pub fn shards_default() -> usize {
     }
 }
 
-/// A client pinned to its home machine — the shard planner needs to know
+/// A client pinned to its home machine — the runtime needs to know
 /// where each client's issuing CPU lives.
 pub struct Pinned<'a> {
     /// Machine whose CPU runs this client.
@@ -65,14 +60,13 @@ impl<'a> Pinned<'a> {
     }
 }
 
-/// Partition machines across `shards` so no connection crosses a shard:
-/// union machines joined by any connection into components, then deal
-/// components to shards greedily by descending client weight
-/// (least-loaded shard first; every tie broken by index, so the plan is
-/// deterministic). Returns the owning shard of each machine.
-pub fn shard_plan(tb: &Testbed, homes: &[usize], shards: usize) -> Vec<usize> {
+/// The connected component of every machine: machines joined by any
+/// connection share an id. Ids are dense and numbered in order of each
+/// component's smallest machine, so they are a pure function of the
+/// wiring.
+pub(crate) fn components(tb: &Testbed) -> Vec<u32> {
     let n = tb.machine_count();
-    // Union-find over machines.
+    // Union-find, rooted at the smallest index of each component.
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
@@ -86,143 +80,192 @@ pub fn shard_plan(tb: &Testbed, homes: &[usize], shards: usize) -> Vec<usize> {
         let a = find(&mut parent, tb.client_of(id).machine);
         let b = find(&mut parent, tb.server_of(id).machine);
         if a != b {
-            // Root at the smaller index so component identity is stable.
             parent[a.max(b)] = a.min(b);
         }
     }
-    // Components in order of first machine appearance, weighted by how
-    // many clients call the component home.
-    let mut weight = vec![0u64; n];
-    for &h in homes {
-        let r = find(&mut parent, h);
-        weight[r] += 1;
+    // A root precedes every other member, so its id is always assigned
+    // by the time a member asks for it.
+    let mut comp = vec![0u32; n];
+    let mut next = 0;
+    for m in 0..n {
+        let r = find(&mut parent, m);
+        comp[m] = if r == m {
+            next += 1;
+            next - 1
+        } else {
+            comp[r]
+        };
     }
-    let mut comps: Vec<(usize, u64)> = Vec::new();
-    for (m, &w) in weight.iter().enumerate() {
-        if find(&mut parent, m) == m {
-            comps.push((m, w));
-        }
-    }
-    // Largest components first; the sort is stable, so equal weights
-    // keep appearance order.
-    comps.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+    comp
+}
+
+/// Deal components to `shards` greedily by descending client weight
+/// (least-loaded shard first; every tie broken by index, so the deal is
+/// deterministic). Returns the shard of each component.
+fn deal(weight: &[u64], shards: usize) -> Vec<usize> {
+    let mut by_weight: Vec<usize> = (0..weight.len()).collect();
+    // Stable: equal weights keep component order.
+    by_weight.sort_by_key(|&c| std::cmp::Reverse(weight[c]));
     let mut load = vec![0u64; shards.max(1)];
-    let mut comp_shard = vec![0usize; n];
-    for (root, w) in comps {
+    let mut shard = vec![0usize; weight.len()];
+    for c in by_weight {
         let s = (0..load.len()).min_by_key(|&s| (load[s], s)).expect("at least one shard");
-        load[s] += w;
-        comp_shard[root] = s;
+        load[s] += weight[c];
+        shard[c] = s;
     }
-    (0..n).map(|m| comp_shard[find(&mut parent, m)]).collect()
+    shard
 }
 
-/// One shard: its slice of the cluster, the clients homed there, and a
-/// private event queue. Cross-shard messages never occur (the partition
-/// closes over connections), so `Msg` is uninhabited-in-practice.
-struct ShardClients<'p, 'a> {
-    tb: Testbed,
-    clients: Vec<&'p mut Pinned<'a>>,
-    q: EventQueue<usize>,
-    deadline: SimTime,
-    last: SimTime,
+/// Client weight of each component: how many of `homes` it holds.
+fn weights(comp: &[u32], homes: impl Iterator<Item = usize>) -> Vec<u64> {
+    let mut weight = vec![0u64; comp.iter().max().map_or(0, |&c| c as usize + 1)];
+    for h in homes {
+        weight[comp[h] as usize] += 1;
+    }
+    weight
 }
 
-impl ShardWorker for ShardClients<'_, '_> {
-    type Msg = ();
-
-    fn next_time(&self) -> Option<SimTime> {
-        self.q.peek_time()
-    }
-
-    fn run_window(&mut self, end: Option<SimTime>, _outbox: &mut Vec<CrossMsg<()>>) {
-        let ShardClients { tb, clients, q, deadline, last } = self;
-        drive_steps(tb, q, *deadline, end, last, &mut |tb, now, i| clients[i].client.step(now, tb));
-    }
-
-    fn deliver(&mut self, _at: SimTime, _msg: ()) {
-        unreachable!("cluster shards exchange no messages: the partition closes over connections");
-    }
+/// Partition machines across `shards` so no connection crosses a shard:
+/// whole components are dealt to shards greedily by descending client
+/// weight. Returns the owning shard of each machine.
+pub fn shard_plan(tb: &Testbed, homes: &[usize], shards: usize) -> Vec<usize> {
+    let comp = components(tb);
+    let shard = deal(&weights(&comp, homes.iter().copied()), shards);
+    comp.iter().map(|&c| shard[c as usize]).collect()
 }
 
-/// Drive `clients` against `tb` on up to `shards` concurrent shards
-/// until all finish or `deadline` passes; returns the last time any
-/// client was stepped. Byte-identical to [`run_clients`](crate::run_clients)
-/// — shard 1 *is* the serial path, and higher counts partition the
-/// cluster so no observable order changes.
+/// One component's clients, by component id, in global order.
+type Group<'s, 'p, 'a> = (u32, &'s mut [&'p mut Pinned<'a>]);
+
+/// Drive `clients` against `tb` until all finish or `deadline` passes;
+/// returns the last time any client was stepped. Byte-identical to
+/// [`run_clients`](crate::run_clients) at every shard count: each
+/// connected component runs to completion on its own queue, serially at
+/// one shard and on up to `shards` scoped threads above that.
 pub fn run_clients_sharded(
     tb: &mut Testbed,
     clients: &mut [Pinned<'_>],
     shards: usize,
     deadline: SimTime,
 ) -> SimTime {
-    run_clients_windowed(tb, clients, shards, deadline, Lookahead::Unbounded)
-}
-
-/// [`run_clients_sharded`] with an explicit lookahead mode. Cluster
-/// shards never exchange messages, so `Unbounded` (one window) and
-/// `Finite` (e.g. [`ClusterConfig::min_link_latency`]
-/// (crate::ClusterConfig::min_link_latency), many windows with a barrier
-/// each) produce identical bytes; the finite mode exists to exercise the
-/// window machinery the future cross-shard traffic engine needs.
-pub fn run_clients_windowed(
-    tb: &mut Testbed,
-    clients: &mut [Pinned<'_>],
-    shards: usize,
-    deadline: SimTime,
-    lookahead: Lookahead,
-) -> SimTime {
     if clients.is_empty() {
         return SimTime::ZERO;
     }
-    let homes: Vec<usize> = clients.iter().map(|p| p.machine).collect();
-    let owner = shard_plan(tb, &homes, shards.max(1));
-    // Shards that ended up without any client would only spin an idle
-    // thread; compact the plan to the shards that actually host work.
-    let mut used: Vec<usize> = homes.iter().map(|&h| owner[h]).collect();
-    used.sort_unstable();
-    used.dedup();
-    if shards <= 1 || used.len() <= 1 {
-        // Serial path: exactly the engine's single-queue loop.
-        let mut boxed: Vec<Box<dyn Client + '_>> =
-            clients.iter_mut().map(|p| Box::new(&mut *p.client) as Box<dyn Client + '_>).collect();
-        return crate::run_clients(tb, &mut boxed, deadline);
-    }
-    let owner: Vec<usize> =
-        owner.iter().map(|o| used.iter().position(|u| u == o).unwrap_or(0)).collect();
-    let k = used.len();
-    let subs = tb.split_shards(&owner, k);
+    let comp = components(tb);
+    let weight = weights(&comp, clients.iter().map(|p| p.machine));
 
-    // Group clients per shard, preserving global order within a shard so
-    // same-time ties step in the same relative order as the serial
-    // engine.
-    let mut grouped: Vec<Vec<&mut Pinned<'_>>> = (0..k).map(|_| Vec::new()).collect();
+    // One counting sort groups the clients by component into a flat
+    // array, keeping global order inside each group, so same-time ties
+    // step in the same relative order as on the single queue.
+    let mut next = Vec::with_capacity(weight.len());
+    let mut at = 0;
+    for &w in &weight {
+        next.push(at);
+        at += w as usize;
+    }
+    let mut slots: Vec<Option<&mut Pinned<'_>>> = clients.iter().map(|_| None).collect();
     for p in clients.iter_mut() {
-        let s = owner[p.machine];
-        grouped[s].push(p);
+        let c = comp[p.machine] as usize;
+        slots[next[c]] = Some(p);
+        next[c] += 1;
     }
-    let mut workers: Vec<ShardClients<'_, '_>> = subs
-        .into_iter()
-        .zip(grouped)
-        .map(|(sub, group)| {
-            let mut q = EventQueue::new();
-            for i in 0..group.len() {
-                q.push(SimTime::ZERO, i);
-            }
-            ShardClients { tb: sub, clients: group, q, deadline, last: SimTime::ZERO }
-        })
-        .collect();
+    let mut flat: Vec<&mut Pinned<'_>> =
+        slots.into_iter().map(|p| p.expect("every client has a slot")).collect();
+    let mut groups: Vec<Group<'_, '_, '_>> = Vec::with_capacity(weight.len());
+    let mut rest = &mut flat[..];
+    for (c, &w) in weight.iter().enumerate().filter(|&(_, &w)| w > 0) {
+        let (group, tail) = std::mem::take(&mut rest).split_at_mut(w as usize);
+        rest = tail;
+        groups.push((c as u32, group));
+    }
 
-    run_sharded(&mut workers, lookahead, true);
+    // More shards than busy components would only idle.
+    let shards = shards.clamp(1, groups.len());
+    let last = if shards == 1 {
+        tb.guard_components(comp);
+        run_components(tb, &mut EventQueue::new(), &mut groups, deadline)
+    } else {
+        run_threaded(tb, comp, &weight, groups, shards, deadline)
+    };
+    tb.guard_components(Vec::new());
+    last
+}
 
-    // Fold in shard order: `last` is a max, so the fold order doesn't
-    // matter, but keeping it deterministic is free.
+/// Deal whole components to `shards` sub-testbeds and run each shard's
+/// components on scoped threads; fold op counts and machine state back.
+fn run_threaded(
+    tb: &mut Testbed,
+    comp: Vec<u32>,
+    weight: &[u64],
+    groups: Vec<Group<'_, '_, '_>>,
+    shards: usize,
+    deadline: SimTime,
+) -> SimTime {
+    let shard_of = deal(weight, shards);
+    let owner: Vec<usize> = comp.iter().map(|&c| shard_of[c as usize]).collect();
+    tb.guard_components(comp);
+    let mut work: Vec<(Testbed, Vec<Group<'_, '_, '_>>)> =
+        tb.split_shards(&owner, shards).into_iter().map(|sub| (sub, Vec::new())).collect();
+    for g in groups {
+        work[shard_of[g.0 as usize]].1.push(g);
+    }
+    // One OS thread per shard churns the scheduler when shards outnumber
+    // cores; chunk shards across at most the available cores, each
+    // thread running its shards' components in turn on one queue.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let per = shards.div_ceil(cores.min(shards));
     let mut last = SimTime::ZERO;
-    let mut subs = Vec::with_capacity(k);
-    for w in workers {
-        last = last.max(w.last);
-        subs.push(w.tb);
+    let mut deltas = Vec::new();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = work
+            .chunks_mut(per)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    let before = opcount::current();
+                    let mut q = EventQueue::new();
+                    let mut last = SimTime::ZERO;
+                    for (tb, groups) in chunk.iter_mut() {
+                        last = last.max(run_components(tb, &mut q, groups, deadline));
+                    }
+                    (last, opcount::current() - before)
+                })
+            })
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok((l, ops)) => {
+                    last = last.max(l);
+                    deltas.push(ops);
+                }
+                // Re-raise the worker's own panic payload so callers (and
+                // #[should_panic] tests) see the original message.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    opcount::fold_shards(&deltas);
+    tb.absorb_shards(work.into_iter().map(|(sub, _)| sub).collect(), &owner);
+    last
+}
+
+/// Step each component to completion in turn, with `tb`'s guard confined
+/// to it. `q` serves them all, cleared back to time zero in between.
+/// Returns the last time any client was stepped.
+fn run_components(
+    tb: &mut Testbed,
+    q: &mut EventQueue<usize>,
+    groups: &mut [Group<'_, '_, '_>],
+    deadline: SimTime,
+) -> SimTime {
+    let mut last = SimTime::ZERO;
+    for (c, clients) in groups.iter_mut() {
+        tb.set_stepping(*c);
+        q.clear();
+        for i in 0..clients.len() {
+            q.push(SimTime::ZERO, i);
+        }
+        drive_steps(tb, q, deadline, &mut last, &mut |tb, now, i| clients[i].client.step(now, tb));
     }
-    tb.absorb_shards(subs, &owner);
     last
 }
 
@@ -232,48 +275,79 @@ mod tests {
     use crate::config::ClusterConfig;
     use crate::engine::{ClosedLoop, Step};
     use crate::testbed::Endpoint;
-    use rnicsim::{RKey, Sge, VerbKind, WorkRequest, WrId};
-    use simcore::{opcount, SimRng};
+    use crate::ConnId;
+    use rnicsim::{MrId, RKey, Sge, VerbKind, WorkRequest, WrId};
+    use simcore::SimRng;
 
-    /// Mixed read/write/FAA traffic on `pairs` disjoint machine pairs;
-    /// returns everything observable: per-client completions, memory
-    /// images, cache counters, opcount delta, and the engine's `last`.
-    #[allow(clippy::type_complexity)]
-    fn run_pairs(
-        shards: usize,
-        lookahead: Option<Lookahead>,
-    ) -> (Vec<Vec<SimTime>>, Vec<Vec<u8>>, Vec<((u64, u64), (u64, u64))>, u64, SimTime) {
-        let pairs = 6usize;
-        let ops = 120u64;
-        let mut tb = Testbed::new(ClusterConfig { machines: 2 * pairs, ..Default::default() });
-        let mut setups = Vec::new();
-        for p in 0..pairs {
-            let (a, b) = (2 * p, 2 * p + 1);
-            let src = tb.register(a, 1, 1 << 16);
-            let dst = tb.register(b, 1, 1 << 16);
-            for i in 0..64u64 {
-                tb.machine_mut(a).mem.store_u64(
-                    src,
-                    i * 8,
-                    (p as u64 + 1).wrapping_mul(i).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
+    /// Everything a run leaves observable: per-client completions, every
+    /// machine's memory image, every machine's MTT/QPC counters, the
+    /// opcount delta, and the engine's `last`.
+    type Observed = (Vec<Vec<SimTime>>, Vec<Vec<u8>>, Vec<((u64, u64), (u64, u64))>, u64, SimTime);
+
+    /// A seeded, uneven multi-component mix: 3–6 components of 1–3 machine
+    /// pairs each (chained by connections, so one component spans several
+    /// machines), each hosting 1–4 closed loops of mixed read/write/FAA
+    /// traffic with window 8 and uneven op counts. Every client starts at
+    /// t = 0, so components with several clients tie there. `shards: None`
+    /// drives the single-queue `run_clients` reference.
+    fn run_mix(seed: u64, shards: Option<usize>, deadline: SimTime) -> Observed {
+        let mut rng = SimRng::new(seed);
+        let comps = 3 + rng.gen_range(4) as usize;
+        let sizes: Vec<usize> = (0..comps).map(|_| 1 + rng.gen_range(3) as usize).collect();
+        let machines = 2 * sizes.iter().sum::<usize>();
+        let mut tb = Testbed::new(ClusterConfig { machines, ..Default::default() });
+        // Per client: home machine, its component's legs, and its op count.
+        type Leg = (MrId, MrId, ConnId);
+        let mut plans: Vec<(usize, Vec<Leg>, u64)> = Vec::new();
+        let mut mrs = Vec::new();
+        let mut base = 0;
+        for &pairs in &sizes {
+            let mut legs = Vec::new();
+            for p in 0..pairs {
+                let (a, b) = (base + 2 * p, base + 2 * p + 1);
+                let src = tb.register(a, 1, 1 << 14);
+                let dst = tb.register(b, 1, 1 << 14);
+                for i in 0..32u64 {
+                    tb.machine_mut(a).mem.store_u64(src, i * 8, (seed ^ a as u64).wrapping_mul(i));
+                }
+                legs.push((src, dst, tb.connect(Endpoint::affine(a, 1), Endpoint::affine(b, 1))));
+                if p > 0 {
+                    // Chain this pair to the previous one: same component.
+                    let prev = base + 2 * p - 2;
+                    let back = tb.register(prev, 0, 1 << 14);
+                    let fwd = tb.register(b, 0, 1 << 14);
+                    legs.push((
+                        fwd,
+                        back,
+                        tb.connect(Endpoint::affine(b, 0), Endpoint::affine(prev, 0)),
+                    ));
+                    mrs.push((prev, back));
+                    mrs.push((b, fwd));
+                }
+                mrs.push((a, src));
+                mrs.push((b, dst));
             }
-            let conn = tb.connect(Endpoint::affine(a, 1), Endpoint::affine(b, 1));
-            setups.push((src, dst, conn));
+            for _ in 0..1 + rng.gen_range(4) {
+                let home = base + rng.gen_range(2 * pairs as u64) as usize;
+                plans.push((home, legs.clone(), 20 + rng.gen_range(100)));
+            }
+            base += 2 * pairs;
         }
-        let mut loops: Vec<_> = setups
+        let mut loops: Vec<_> = plans
             .iter()
             .enumerate()
-            .map(|(p, &(src, dst, conn))| {
-                let mut rng = SimRng::new(100 + p as u64);
-                ClosedLoop::new(4, ops, move |tb: &mut Testbed, now: SimTime, i: u64| {
+            .map(|(c, (_, legs, ops))| {
+                let legs = legs.clone();
+                let mut rng = SimRng::new(seed).split(c as u64);
+                ClosedLoop::new(8, *ops, move |tb: &mut Testbed, now: SimTime, i: u64| {
+                    let (src, dst, conn) = legs[rng.gen_range(legs.len() as u64) as usize];
                     let off = rng.gen_range(64) * 8;
-                    let wr = match i % 3 {
+                    let wr = match rng.gen_range(3) {
                         0 => WorkRequest::write(i, Sge::new(src, off, 32), RKey(dst.0 as u64), off),
                         1 => WorkRequest::read(i, Sge::new(src, off, 32), RKey(dst.0 as u64), off),
                         _ => WorkRequest {
                             wr_id: WrId(i),
-                            kind: VerbKind::FetchAdd { delta: i },
+                            kind: VerbKind::FetchAdd { delta: i + 1 },
                             sgl: Sge::new(src, 0, 8).into(),
                             remote: Some((RKey(dst.0 as u64), 1024)),
                             signaled: true,
@@ -284,56 +358,54 @@ mod tests {
             })
             .collect();
         let before = opcount::current();
-        let last = {
-            let mut pinned: Vec<Pinned<'_>> =
-                loops.iter_mut().enumerate().map(|(p, cl)| Pinned::new(2 * p, cl)).collect();
-            match lookahead {
-                Some(la) => run_clients_windowed(&mut tb, &mut pinned, shards, SimTime::MAX, la),
-                None => run_clients_sharded(&mut tb, &mut pinned, shards, SimTime::MAX),
+        let last = match shards {
+            Some(shards) => {
+                let mut pinned: Vec<Pinned<'_>> = loops
+                    .iter_mut()
+                    .zip(&plans)
+                    .map(|(cl, (home, _, _))| Pinned::new(*home, cl))
+                    .collect();
+                run_clients_sharded(&mut tb, &mut pinned, shards, deadline)
+            }
+            None => {
+                let mut boxed: Vec<Box<dyn Client + '_>> =
+                    loops.iter_mut().map(|cl| Box::new(cl) as Box<dyn Client + '_>).collect();
+                crate::run_clients(&mut tb, &mut boxed, deadline)
             }
         };
-        let ops_delta = opcount::current() - before;
-        let comps: Vec<Vec<SimTime>> = loops.iter().map(|cl| cl.completions().to_vec()).collect();
-        let mems: Vec<Vec<u8>> = setups
-            .iter()
-            .enumerate()
-            .flat_map(|(p, &(src, dst, _))| {
-                [
-                    tb.machine(2 * p).mem.read(src, 0, 1 << 16),
-                    tb.machine(2 * p + 1).mem.read(dst, 0, 1 << 16),
-                ]
-            })
-            .collect();
-        let stats: Vec<_> = (0..2 * pairs)
+        let ops = opcount::current() - before;
+        let completions = loops.iter().map(|cl| cl.completions().to_vec()).collect();
+        let mems = mrs.iter().map(|&(m, mr)| tb.machine(m).mem.read(mr, 0, 1 << 14)).collect();
+        let stats = (0..machines)
             .map(|m| (tb.machine(m).rnic.mtt.stats(), tb.machine(m).rnic.qpc.stats()))
             .collect();
-        (comps, mems, stats, ops_delta, last)
+        (completions, mems, stats, ops, last)
     }
 
+    /// The component fan-out, serial or threaded, against the single-queue
+    /// interleaving it replaces: run to completion and cut mid-run by a
+    /// deadline.
     #[test]
     fn sharded_matches_serial_byte_for_byte() {
-        let serial = run_pairs(1, None);
-        for shards in [2, 5] {
-            let sharded = run_pairs(shards, None);
-            assert_eq!(serial.0, sharded.0, "completions diverged at {shards} shards");
-            assert_eq!(serial.1, sharded.1, "memory diverged at {shards} shards");
-            assert_eq!(serial.2, sharded.2, "MTT/QPC counters diverged at {shards} shards");
-            assert_eq!(serial.3, sharded.3, "opcount diverged at {shards} shards");
-            assert_eq!(serial.4, sharded.4, "engine last diverged at {shards} shards");
+        for seed in 0..6u64 {
+            let full = run_mix(seed, None, SimTime::MAX);
+            let cut = SimTime::from_ps(full.4.as_ps() / 2);
+            for deadline in [SimTime::MAX, cut] {
+                let reference = run_mix(seed, None, deadline);
+                if deadline == cut {
+                    assert!(reference.3 < full.3, "seed {seed}: the deadline must cut the run");
+                }
+                for shards in [1, 2, 5] {
+                    let run = run_mix(seed, Some(shards), deadline);
+                    let at = format!("seed {seed}, {shards} shards, deadline {deadline}");
+                    assert_eq!(reference.0, run.0, "completions diverged at {at}");
+                    assert_eq!(reference.1, run.1, "memory diverged at {at}");
+                    assert_eq!(reference.2, run.2, "MTT/QPC counters diverged at {at}");
+                    assert_eq!(reference.3, run.3, "opcount diverged at {at}");
+                    assert_eq!(reference.4, run.4, "engine last diverged at {at}");
+                }
+            }
         }
-    }
-
-    #[test]
-    fn finite_windows_match_unbounded() {
-        let cfg = ClusterConfig::default();
-        let la = Lookahead::Finite(cfg.min_link_latency());
-        let unbounded = run_pairs(3, Some(Lookahead::Unbounded));
-        let finite = run_pairs(3, Some(la));
-        assert_eq!(unbounded.0, finite.0);
-        assert_eq!(unbounded.1, finite.1);
-        assert_eq!(unbounded.2, finite.2);
-        assert_eq!(unbounded.3, finite.3);
-        assert_eq!(unbounded.4, finite.4);
     }
 
     #[test]
@@ -389,6 +461,7 @@ mod tests {
         tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
         tb.connect(Endpoint::affine(1, 0), Endpoint::affine(2, 0));
         tb.connect(Endpoint::affine(3, 1), Endpoint::affine(4, 1));
+        assert_eq!(components(&tb), vec![0, 0, 0, 1, 1]);
         let owner = shard_plan(&tb, &[0, 1, 3], 2);
         assert_eq!(owner[0], owner[1]);
         assert_eq!(owner[1], owner[2]);
@@ -396,23 +469,20 @@ mod tests {
         assert_ne!(owner[0], owner[3], "independent components spread across shards");
     }
 
-    #[test]
-    #[should_panic(expected = "resident")]
-    fn foreign_post_panics() {
+    /// Two components, {0,1} and {2,3}, with a client homed on each; the
+    /// machine-0 client posts on the {2,3} connection.
+    fn escape_component(shards: usize) {
         let mut tb = Testbed::new(ClusterConfig { machines: 4, ..Default::default() });
         let src = tb.register(2, 1, 4096);
         let dst = tb.register(3, 1, 4096);
-        // Two components: {0,1} and {2,3}.
         let _near = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
         let far = tb.connect(Endpoint::affine(2, 1), Endpoint::affine(3, 1));
-        // Clients homed on both components force a real 2-shard split;
-        // the machine-0 client then posts on the foreign {2,3} conn.
         struct Misbehaving {
-            conn: crate::ConnId,
-            src: rnicsim::MrId,
-            dst: rnicsim::MrId,
+            conn: ConnId,
+            src: MrId,
+            dst: MrId,
         }
-        impl crate::Client for Misbehaving {
+        impl Client for Misbehaving {
             fn step(&mut self, now: SimTime, tb: &mut Testbed) -> Step {
                 let wr =
                     WorkRequest::write(0, Sge::new(self.src, 0, 8), RKey(self.dst.0 as u64), 0);
@@ -421,7 +491,7 @@ mod tests {
             }
         }
         struct Idle;
-        impl crate::Client for Idle {
+        impl Client for Idle {
             fn step(&mut self, _now: SimTime, _tb: &mut Testbed) -> Step {
                 Step::Done
             }
@@ -429,7 +499,19 @@ mod tests {
         let mut bad = Misbehaving { conn: far, src, dst };
         let mut idle = Idle;
         let mut pinned = vec![Pinned::new(0, &mut bad), Pinned::new(2, &mut idle)];
-        run_clients_sharded(&mut tb, &mut pinned, 2, SimTime::MAX);
+        run_clients_sharded(&mut tb, &mut pinned, shards, SimTime::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside component")]
+    fn foreign_post_panics() {
+        escape_component(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside component")]
+    fn foreign_post_panics_serially_too() {
+        escape_component(1);
     }
 
     #[test]
@@ -442,7 +524,7 @@ mod tests {
             let conn = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
             (src, dst, conn)
         };
-        let mk_loop = |src: rnicsim::MrId, dst: rnicsim::MrId, conn: crate::ConnId| {
+        let mk_loop = |src: MrId, dst: MrId, conn: ConnId| {
             ClosedLoop::new(2, 40, move |tb: &mut Testbed, now: SimTime, i: u64| {
                 let off = (i % 64) * 8;
                 tb.post_one(

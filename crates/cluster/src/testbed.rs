@@ -107,12 +107,14 @@ pub struct Testbed {
     /// When set, every doorbell batch is statically checked before it is
     /// simulated; error-severity findings panic (see [`Testbed::set_checked`]).
     checked: bool,
-    /// When this testbed is a shard of a larger cluster
-    /// (`split_shards`), `resident[m]` says whether machine `m`'s real
-    /// state lives here. Verbs touching a non-resident machine panic:
-    /// the shard partition closed over every connection, so such a post
-    /// is a partitioning bug, not a simulation event.
-    resident: Option<Vec<bool>>,
+    /// While pinned clients run (`crate::shard`), the connected
+    /// component of every machine; empty otherwise. Verbs touching a
+    /// machine outside the component being stepped panic: components
+    /// close over every connection, so such a post is a client escaping
+    /// its component, not a simulation event.
+    component: Vec<u32>,
+    /// The component being stepped while `component` is set.
+    stepping: u32,
 }
 
 impl Testbed {
@@ -126,7 +128,8 @@ impl Testbed {
             cqe_scratch: Vec::new(),
             data_scratch: Vec::new(),
             checked: false,
-            resident: None,
+            component: Vec::new(),
+            stepping: 0,
         }
     }
 
@@ -324,13 +327,7 @@ impl Testbed {
         let checked = self.checked;
         let c = &self.conns[conn.0 as usize];
         let (client, server) = (c.client, c.server);
-        if let Some(res) = &self.resident {
-            assert!(
-                res[client.machine] && res[server.machine],
-                "conn {} touches a machine not resident on this shard (cross-shard verb)",
-                conn.0
-            );
-        }
+        self.guard(conn, client.machine, server.machine);
         let (client_qpn, server_qpn) = (c.client_qpn, c.server_qpn);
         let transport = c.transport;
         for wr in wrs {
@@ -610,13 +607,7 @@ impl Testbed {
         simcore::opcount::add(1);
         let c = &self.conns[conn.0 as usize];
         let (client, server) = (c.client, c.server);
-        if let Some(res) = &self.resident {
-            assert!(
-                res[client.machine] && res[server.machine],
-                "conn {} touches a machine not resident on this shard (cross-shard verb)",
-                conn.0
-            );
-        }
+        self.guard(conn, client.machine, server.machine);
         let grh = match c.transport {
             Transport::Ud => UD_GRH_BYTES,
             _ => 0,
@@ -655,14 +646,15 @@ impl Testbed {
         self.conns.len()
     }
 
-    /// Carve this testbed into `shards` sub-testbeds for conservative
-    /// parallel simulation: shard `s` takes ownership (by move) of every
+    /// Carve this testbed into `shards` sub-testbeds for threaded
+    /// component runs: shard `s` takes ownership (by move) of every
     /// machine with `owner[m] == s` and gets a fresh *husk* machine in
     /// every other slot, so machine indices — and therefore `ConnId`s
     /// and `Endpoint`s — keep their global meaning inside each shard.
-    /// The husks are never touched: each shard carries a `resident` map
-    /// and panics on any verb reaching a foreign machine. Pair with
-    /// [`Testbed::absorb_shards`] to move the state back.
+    /// The husks are never touched: owners must keep whole components
+    /// together, so the component guard panics on any verb reaching a
+    /// foreign machine. Pair with [`Testbed::absorb_shards`] to move the
+    /// state back.
     pub(crate) fn split_shards(&mut self, owner: &[usize], shards: usize) -> Vec<Testbed> {
         assert_eq!(owner.len(), self.machines.len());
         (0..shards)
@@ -684,9 +676,36 @@ impl Testbed {
                 cqe_scratch: Vec::new(),
                 data_scratch: Vec::new(),
                 checked: self.checked,
-                resident: Some(owner.iter().map(|&o| o == s).collect()),
+                component: self.component.clone(),
+                stepping: self.stepping,
             })
             .collect()
+    }
+
+    /// Confine verbs to one connected component at a time: `component`
+    /// holds every machine's component id (empty lifts the guard), and
+    /// [`Testbed::set_stepping`] names the component allowed to post.
+    pub(crate) fn guard_components(&mut self, component: Vec<u32>) {
+        self.component = component;
+    }
+
+    /// The component whose clients are being stepped.
+    pub(crate) fn set_stepping(&mut self, component: u32) {
+        self.stepping = component;
+    }
+
+    /// Panic unless both endpoints of `conn` lie in the component being
+    /// stepped (no-op when no guard is set).
+    #[inline]
+    fn guard(&self, conn: ConnId, a: usize, b: usize) {
+        if !self.component.is_empty() {
+            assert!(
+                self.component[a] == self.stepping && self.component[b] == self.stepping,
+                "conn {} reaches outside component {} being stepped",
+                conn.0,
+                self.stepping
+            );
+        }
     }
 
     /// Reclaim machine state moved out by [`Testbed::split_shards`]. The
@@ -723,9 +742,9 @@ fn blank_machine(cfg: &ClusterConfig) -> Machine {
     }
 }
 
-/// A placeholder machine filling non-resident (and vacated) slots around
-/// a shard split. Husks only exist to keep machine indices global; the
-/// `resident` guard panics before any verb can reach one, so they carry
+/// A placeholder machine filling foreign (and vacated) slots around a
+/// shard split. Husks only exist to keep machine indices global; the
+/// component guard panics before any verb can reach one, so they carry
 /// no ports.
 fn husk_machine(cfg: &ClusterConfig) -> Machine {
     let rnic = rnicsim::RnicConfig { ports: 0, ..cfg.rnic.clone() };

@@ -124,6 +124,14 @@ impl<T> EventQueue<T> {
         self.near.is_empty() && self.far.is_empty()
     }
 
+    /// Drop every pending event and rewind to time zero, keeping the
+    /// allocations, so one queue can serve run after run.
+    pub fn clear(&mut self) {
+        self.near.clear();
+        self.far.clear();
+        self.seq = 0;
+    }
+
     /// Move a batch of the earliest far-future events into the (empty)
     /// near batch. Wheel pops come out in exact `(at, seq)` order, so
     /// equal-timestamp runs split across a batch boundary stay ordered.
@@ -242,6 +250,31 @@ mod tests {
             assert_eq!(q.pop().unwrap().1, i);
         }
         assert_eq!(q.pop().unwrap().1, 1 + n);
+        assert!(q.is_empty());
+    }
+
+    /// A cleared queue forgets its pending events and insertion sequence:
+    /// a second run from t = 0 pops exactly like a fresh queue.
+    #[test]
+    fn clear_starts_a_fresh_run() {
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.push(SimTime::from_ns(i * 37 % 101), i);
+        }
+        for _ in 0..60 {
+            q.pop();
+        }
+        q.clear();
+        assert!(q.is_empty() && q.peek_time().is_none());
+        let mut fresh = EventQueue::new();
+        for i in 0..100u64 {
+            let at = SimTime::from_ns(i % 7);
+            q.push(at, i);
+            fresh.push(at, i);
+        }
+        while let Some(e) = fresh.pop() {
+            assert_eq!(q.pop(), Some(e));
+        }
         assert!(q.is_empty());
     }
 

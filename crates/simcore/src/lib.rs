@@ -34,7 +34,6 @@ pub mod lru;
 pub mod opcount;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod wheel;
@@ -43,7 +42,6 @@ pub use events::EventQueue;
 pub use lru::LruSet;
 pub use resource::{BandwidthLink, KServer};
 pub use rng::SimRng;
-pub use shard::{run_sharded, CrossMsg, Lookahead, ShardRun, ShardWorker};
 pub use stats::{LatencyHistogram, LatencySeries, Meter, Series, Summary};
 pub use time::{mops, ps_per_byte_gbps, ps_per_byte_gbs, service_time_for_mops, SimTime};
 pub use wheel::TimingWheel;

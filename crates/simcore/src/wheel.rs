@@ -150,6 +150,23 @@ impl<T> TimingWheel<T> {
         Some((e.at, e.seq, e.payload))
     }
 
+    /// Drop every entry and rewind the wheel to time zero, keeping each
+    /// slot's capacity. A drained wheel keeps its advanced base, where
+    /// pushes behind it all land in `ready`; a run that restarts at t = 0
+    /// clears first.
+    pub fn clear(&mut self) {
+        self.ready.clear();
+        for (level, occ) in self.occ.iter_mut().enumerate() {
+            while *occ != 0 {
+                let slot = occ.trailing_zeros() as usize;
+                self.slots[level * SLOTS + slot].clear();
+                *occ &= *occ - 1;
+            }
+        }
+        self.base_g = 0;
+        self.in_slots = 0;
+    }
+
     /// Route one entry to `ready` (granule reached) or a slot (future).
     fn insert(&mut self, e: Entry<T>) {
         let t_g = e.at.as_ps() >> G_BITS;
@@ -245,6 +262,35 @@ mod tests {
         for i in 0..50u64 {
             assert_eq!(w.pop().unwrap().1, i);
         }
+    }
+
+    /// A cleared wheel is a fresh one: it forgets pending entries and its
+    /// advanced base, so a restart at t = 0 hashes into slots again
+    /// instead of piling every entry behind the old base into `ready`.
+    #[test]
+    fn clear_rewinds_to_time_zero() {
+        let mut w = TimingWheel::new();
+        for i in 0..40u64 {
+            w.push(SimTime::from_ps(i << 30), i, i);
+        }
+        for _ in 0..20 {
+            w.pop();
+        }
+        assert!(w.base_g > 0);
+        w.clear();
+        assert!(w.is_empty() && w.peek_key().is_none());
+        assert_eq!(w.len(), 0);
+        assert_eq!((w.base_g, w.occ), (0, [0; LEVELS]));
+        let mut fresh = TimingWheel::new();
+        for i in 0..40u64 {
+            w.push(SimTime::from_ps((40 - i) << 20), i, i);
+            fresh.push(SimTime::from_ps((40 - i) << 20), i, i);
+            assert_eq!((w.base_g, w.ready.len()), (fresh.base_g, fresh.ready.len()));
+        }
+        for i in (0..40u64).rev() {
+            assert_eq!(w.pop().map(|(_, s, _)| s), Some(i));
+        }
+        assert!(w.is_empty());
     }
 
     /// The wheel must match a BinaryHeap oracle byte-for-byte under random

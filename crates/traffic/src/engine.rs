@@ -106,7 +106,7 @@ pub struct TrafficConfig {
     pub window: SimTime,
     /// Run seed; worker streams split from it.
     pub seed: u64,
-    /// Shard count for the conservative-parallel run (1 = serial).
+    /// Shard count for the pinned-client run (1 = the calling thread).
     pub shards: usize,
 }
 

@@ -65,7 +65,7 @@ pub struct TxnTrafficConfig {
     pub warmup: SimTime,
     /// Run seed; tenant streams split from it.
     pub seed: u64,
-    /// Shard count for the conservative-parallel run (1 = serial).
+    /// Shard count for the pinned-client run (1 = the calling thread).
     pub shards: usize,
 }
 

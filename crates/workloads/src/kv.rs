@@ -79,6 +79,13 @@ impl KvStream {
         KvStream { spec, zipf, rng }
     }
 
+    /// A stream over the same spec and Zipf constants, drawing from its
+    /// own `rng`. Cheaper than [`KvStream::new`], which recomputes
+    /// `zeta(keys)`: one `powf` per key.
+    pub fn fork(&self, rng: SimRng) -> Self {
+        KvStream { spec: self.spec.clone(), zipf: self.zipf.clone(), rng }
+    }
+
     /// The spec this stream was built from.
     pub fn spec(&self) -> &KvSpec {
         &self.spec
@@ -141,6 +148,17 @@ mod tests {
         assert_eq!(a.len(), 64);
         assert_ne!(value_for(43, 64), a);
         assert_eq!(value_for(1, 5).len(), 5);
+    }
+
+    #[test]
+    fn fork_matches_a_fresh_stream() {
+        let spec = KvSpec::ycsb_a(1 << 12);
+        let base = KvStream::new(spec.clone(), SimRng::new(5));
+        let mut forked = base.fork(SimRng::new(6));
+        let mut fresh = KvStream::new(spec, SimRng::new(6));
+        for _ in 0..1000 {
+            assert_eq!(forked.next_op(), fresh.next_op());
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -29,7 +28,7 @@ impl Zipf {
         let zeta2 = zeta(2.min(n), theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        Zipf { n, theta, alpha, zetan, eta, zeta2 }
+        Zipf { n, theta, alpha, zetan, eta }
     }
 
     /// The paper's configuration: skew 0.99.
@@ -66,11 +65,6 @@ impl Zipf {
     /// Probability mass of the hottest `k` ranks (analytic).
     pub fn head_mass(&self, k: u64) -> f64 {
         zeta(k.min(self.n), self.theta) / self.zetan
-    }
-
-    /// Unused-but-kept diagnostic: zeta(2).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 

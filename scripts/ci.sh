@@ -57,8 +57,16 @@ cargo run --release --offline -p bench -- --traffic all --load 0.25 --check-dete
 echo "== txn smoke sweep (3-way determinism, all profiles, both modes) =="
 cargo run --release --offline -p bench -- --txn all --load 0.05 --check-determinism
 
-echo "== micro set, sharded (--shards 2) =="
-cargo run --release --offline -p bench -- micro --shards 2 >/dev/null
+echo "== micro set: --shards 1 and --shards 3 render identical stdout =="
+# The micro set's fig6/fig8 cells are multi-component testbeds, and three
+# shards deal their components unevenly; timing goes to stderr, so the
+# rendered stdout must match byte for byte.
+m1=$(cargo run --release --offline -p bench -- micro --shards 1)
+m3=$(cargo run --release --offline -p bench -- micro --shards 3)
+cmp <(printf '%s\n' "$m1") <(printf '%s\n' "$m3") || {
+  echo "micro: --shards 1 and --shards 3 stdout differ"
+  exit 1
+}
 
 echo "== bench-compare (sim_ops must match committed BENCH_engine.json) =="
 # --serial: the committed baseline was recorded serially, so wall-time
