@@ -13,8 +13,8 @@
 //! `aggressor` while the victims keep the base rate, and per-tenant p99
 //! shows whether the scheduler bounds the victims' inflation.
 //!
-//! Determinism matches the rest of the stack: schedules and request
-//! streams are pre-drawn from split RNG streams, pods are
+//! Determinism matches the rest of the stack: arrivals and requests are
+//! drawn at admission from the same split RNG streams, pods are
 //! connection-disjoint, and per-tenant stats fold in (pod, tenant)
 //! order, so serial and `--shards N` runs are byte-identical.
 
@@ -108,7 +108,7 @@ impl TxnTrafficConfig {
 pub struct TxnReport {
     /// Offered transaction load that was requested (MTPS).
     pub offered_mops: f64,
-    /// Arrival rate the pre-drawn schedules actually realized (MTPS):
+    /// Arrival rate the drawn schedules actually realized (MTPS):
     /// post-warmup scheduled transactions over the post-warmup arrival
     /// span — the window the completion meters observe.
     pub realized_mops: f64,
@@ -160,12 +160,37 @@ impl TxnReport {
     }
 }
 
+/// Arrival times of tenant `t` of its pod, the `gidx`-th tenant counting
+/// pod-major: `ops_per_tenant` gaps drawn from split stream `4000 + gidx`.
+fn arrival_times(
+    cfg: &TxnTrafficConfig,
+    root: &SimRng,
+    gidx: u64,
+    t: usize,
+) -> impl Iterator<Item = SimTime> + Send {
+    let rate = cfg.rate_per_tenant() * if t == 0 { cfg.aggressor } else { 1.0 };
+    let process = if cfg.bursty {
+        ArrivalProcess::bursty(rate)
+    } else {
+        ArrivalProcess::Poisson { rate_mops: rate }
+    };
+    let mut gaps = ArrivalGen::new(process, root.split(4000 + gidx));
+    let mut at = SimTime::ZERO;
+    (0..cfg.ops_per_tenant).map(move |_| {
+        at += gaps.next_gap();
+        at
+    })
+}
+
 /// Run one open-loop transactional traffic simulation.
+///
+/// Each tenant's schedule is drawn as the service admits it: arrival
+/// gaps from split stream `4000 + g` and requests from `5000 + g`, for
+/// the `g`-th tenant counting pod-major.
 pub fn run_txn_traffic(cfg: &TxnTrafficConfig) -> TxnReport {
     assert!(cfg.pods >= 1 && cfg.tenants >= 1 && cfg.qps >= 1);
     assert!(cfg.offered_mops > 0.0, "offered load must be positive");
     assert!(cfg.aggressor >= 1.0, "aggressor multiplies the base rate");
-    let mut tb = Testbed::new(ClusterConfig { machines: cfg.pods * 2, ..Default::default() });
     let root = SimRng::new(cfg.seed);
     let geo = ConflictGeometry {
         records: cfg.records,
@@ -173,6 +198,37 @@ pub fn run_txn_traffic(cfg: &TxnTrafficConfig) -> TxnReport {
         conflict: cfg.conflict,
         tenants: cfg.tenants,
     };
+    let specs = (0..cfg.pods)
+        .map(|pod| {
+            (0..cfg.tenants)
+                .map(|t| {
+                    let gidx = (pod * cfg.tenants + t) as u64;
+                    let (profile, mut req_rng) = (cfg.profile, root.split(5000 + gidx));
+                    let schedule = arrival_times(cfg, &root, gidx, t)
+                        .map(move |at| (at, gen_request(profile, &geo, t, &mut req_rng)));
+                    TenantSpec { quota: cfg.quota, schedule: Box::new(schedule) }
+                })
+                .collect()
+        })
+        .collect();
+    // The realized rate needs only the arrival times: replay the gap
+    // streams once more rather than keep the schedules.
+    let (mut sched_ops, mut sched_end) = (0u64, SimTime::ZERO);
+    for gidx in 0..cfg.pods * cfg.tenants {
+        for at in arrival_times(cfg, &root, gidx as u64, gidx % cfg.tenants) {
+            sched_ops += u64::from(at >= cfg.warmup);
+            sched_end = sched_end.max(at);
+        }
+    }
+    run_specs(cfg, specs, simcore::mops(sched_ops, sched_end.saturating_sub(cfg.warmup)))
+}
+
+/// Run `cfg`'s pods with the given per-pod tenant specs, reporting
+/// `realized_mops` as the schedules' realized arrival rate.
+fn run_specs(cfg: &TxnTrafficConfig, specs: Vec<Vec<TenantSpec>>, realized_mops: f64) -> TxnReport {
+    assert_eq!(specs.len(), cfg.pods, "one spec list per pod");
+    let mut tb = Testbed::new(ClusterConfig { machines: cfg.pods * 2, ..Default::default() });
+    let root = SimRng::new(cfg.seed);
     let svc_cfg = ServiceConfig {
         scheduler: cfg.scheduler,
         concurrency: cfg.concurrency,
@@ -183,9 +239,7 @@ pub fn run_txn_traffic(cfg: &TxnTrafficConfig) -> TxnReport {
     };
     let mut setups = Vec::with_capacity(cfg.pods);
     let mut services = Vec::with_capacity(cfg.pods);
-    let mut sched_ops = 0u64;
-    let mut sched_end = SimTime::ZERO;
-    for pod in 0..cfg.pods {
+    for (pod, specs) in specs.into_iter().enumerate() {
         let setup = build_pod(
             &mut tb,
             pod * 2,
@@ -195,33 +249,6 @@ pub fn run_txn_traffic(cfg: &TxnTrafficConfig) -> TxnReport {
             cfg.records,
             cfg.table_value_len(),
         );
-        let specs = (0..cfg.tenants)
-            .map(|t| {
-                let gidx = (pod * cfg.tenants + t) as u64;
-                let rate = cfg.rate_per_tenant() * if t == 0 { cfg.aggressor } else { 1.0 };
-                let process = if cfg.bursty {
-                    ArrivalProcess::bursty(rate)
-                } else {
-                    ArrivalProcess::Poisson { rate_mops: rate }
-                };
-                let mut arrivals = ArrivalGen::new(process, root.split(4000 + gidx));
-                let mut req_rng = root.split(5000 + gidx);
-                let mut at = SimTime::ZERO;
-                let schedule = (0..cfg.ops_per_tenant)
-                    .map(|_| {
-                        at += arrivals.next_gap();
-                        (at, gen_request(cfg.profile, &geo, t, &mut req_rng))
-                    })
-                    .collect();
-                TenantSpec { quota: cfg.quota, schedule }
-            })
-            .collect::<Vec<TenantSpec>>();
-        for spec in &specs {
-            sched_ops += spec.schedule.iter().filter(|(at, _)| *at >= cfg.warmup).count() as u64;
-            if let Some((at, _)) = spec.schedule.last() {
-                sched_end = sched_end.max(*at);
-            }
-        }
         let service = TxnService::new(
             setup.table,
             svc_cfg,
@@ -267,7 +294,7 @@ pub fn run_txn_traffic(cfg: &TxnTrafficConfig) -> TxnReport {
     }
     TxnReport {
         offered_mops: cfg.offered_mops,
-        realized_mops: simcore::mops(sched_ops, sched_end.saturating_sub(cfg.warmup)),
+        realized_mops,
         achieved_mops: achieved,
         ops: hist.count(),
         hist,
@@ -337,6 +364,101 @@ pub fn find_txn_knee(base: &TxnTrafficConfig, slo: SimTime) -> Knee {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference run: every tenant's whole schedule pre-drawn into a
+    /// `Vec` up front, and the realized rate computed from the stored
+    /// schedules.
+    fn run_predrawn(cfg: &TxnTrafficConfig) -> TxnReport {
+        let root = SimRng::new(cfg.seed);
+        let geo = ConflictGeometry {
+            records: cfg.records,
+            hot: cfg.hot,
+            conflict: cfg.conflict,
+            tenants: cfg.tenants,
+        };
+        let mut sched_ops = 0u64;
+        let mut sched_end = SimTime::ZERO;
+        let mut specs = Vec::new();
+        for pod in 0..cfg.pods {
+            let mut pod_specs = Vec::new();
+            for t in 0..cfg.tenants {
+                let gidx = (pod * cfg.tenants + t) as u64;
+                let rate = cfg.rate_per_tenant() * if t == 0 { cfg.aggressor } else { 1.0 };
+                let process = if cfg.bursty {
+                    ArrivalProcess::bursty(rate)
+                } else {
+                    ArrivalProcess::Poisson { rate_mops: rate }
+                };
+                let mut arrivals = ArrivalGen::new(process, root.split(4000 + gidx));
+                let mut req_rng = root.split(5000 + gidx);
+                let mut at = SimTime::ZERO;
+                let schedule: Vec<_> = (0..cfg.ops_per_tenant)
+                    .map(|_| {
+                        at += arrivals.next_gap();
+                        (at, gen_request(cfg.profile, &geo, t, &mut req_rng))
+                    })
+                    .collect();
+                sched_ops += schedule.iter().filter(|(at, _)| *at >= cfg.warmup).count() as u64;
+                if let Some((at, _)) = schedule.last() {
+                    sched_end = sched_end.max(*at);
+                }
+                pod_specs.push(TenantSpec {
+                    quota: cfg.quota,
+                    schedule: Box::new(schedule.into_iter()),
+                });
+            }
+            specs.push(pod_specs);
+        }
+        run_specs(cfg, specs, simcore::mops(sched_ops, sched_end.saturating_sub(cfg.warmup)))
+    }
+
+    #[test]
+    fn lazy_schedules_match_predrawn_reference() {
+        let base = TxnTrafficConfig { ops_per_tenant: 120, conflict: 0.5, ..Default::default() };
+        let cases = [
+            ("poisson drr", base.clone()),
+            ("bursty drr", TxnTrafficConfig { bursty: true, ..base.clone() }),
+            (
+                "bursty fifo aggressor",
+                TxnTrafficConfig {
+                    bursty: true,
+                    aggressor: 4.0,
+                    scheduler: Scheduler::Fifo,
+                    ..base.clone()
+                },
+            ),
+            (
+                "poisson fifo aggressor locked join",
+                TxnTrafficConfig {
+                    aggressor: 2.0,
+                    scheduler: Scheduler::Fifo,
+                    concurrency: Concurrency::Locked,
+                    profile: TxnProfile::Join,
+                    ..base.clone()
+                },
+            ),
+            (
+                "bursty drr aggressor shuffle",
+                TxnTrafficConfig {
+                    bursty: true,
+                    aggressor: 8.0,
+                    profile: TxnProfile::Shuffle,
+                    ..base
+                },
+            ),
+        ];
+        for (name, cfg) in cases {
+            let (lazy, reference) = (run_txn_traffic(&cfg), run_predrawn(&cfg));
+            assert_eq!(lazy.digest(), reference.digest(), "{name}: digest");
+            assert_eq!(lazy.stats, reference.stats, "{name}: stats");
+            assert_eq!(
+                lazy.realized_mops.to_bits(),
+                reference.realized_mops.to_bits(),
+                "{name}: realized rate"
+            );
+            assert_eq!(lazy.achieved_mops.to_bits(), reference.achieved_mops.to_bits(), "{name}");
+        }
+    }
 
     #[test]
     fn txn_traffic_commits_everything() {

@@ -40,8 +40,8 @@ pub mod workload;
 pub use harness::{build_pod, PodSetup};
 pub use programs::verb_program;
 pub use protocol::{
-    staging_window, value_image, AbortCause, Advance, Concurrency, RetryPolicy, TxnMachine,
-    TxnRequest, TxnStats, TxnWrite, WriteOp,
+    staging_window, AbortCause, Advance, Concurrency, RetryPolicy, TxnMachine, TxnRequest,
+    TxnStats, TxnWrite, WriteOp,
 };
 pub use service::{staging_bytes, Scheduler, ServiceConfig, TenantSpec, TenantStats, TxnService};
 pub use table::{RecId, RecordState, TxnTable, VALUE_OFF, VERSION_OFF};

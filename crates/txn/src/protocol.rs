@@ -36,7 +36,7 @@
 use crate::table::{RecId, TxnTable, VALUE_OFF, VERSION_OFF};
 use cluster::{ConnId, Testbed};
 use remem::Backoff;
-use rnicsim::{CqeStatus, MrId, Sge, VerbKind, WorkRequest, WrId};
+use rnicsim::{Completion, CqeStatus, MrId, Sge, VerbKind, WorkRequest, WrId};
 use simcore::{SimRng, SimTime};
 
 /// What a transactional write stores.
@@ -60,38 +60,80 @@ pub struct TxnWrite {
     pub op: WriteOp,
 }
 
+/// Largest read or write set one request carries: the join profile's
+/// two-record snapshot. A request lives inline in its queue entry and its
+/// QP slot, so both sets are fixed-capacity arrays rather than heap
+/// vectors.
+pub const MAX_SET: usize = 2;
+
 /// One transaction request: what to read and what to write.
 ///
-/// `reads` and `writes` must be sorted by record id and duplicate-free
-/// ([`TxnRequest::new`] enforces both); sorted lock order is the deadlock
-/// freedom argument.
-#[derive(Clone, Debug, Default)]
+/// Both sets are sorted by record id, duplicate-free, and at most
+/// [`MAX_SET`] long ([`TxnRequest::new`] enforces all three); sorted lock
+/// order is the deadlock freedom argument.
+#[derive(Clone, Copy, Debug)]
 pub struct TxnRequest {
-    /// Records read (optimistically in [`Concurrency::Optimistic`] mode).
-    pub reads: Vec<RecId>,
-    /// Records written under their record locks.
-    pub writes: Vec<TxnWrite>,
+    reads: [RecId; MAX_SET],
+    writes: [TxnWrite; MAX_SET],
+    n_reads: u8,
+    n_writes: u8,
+}
+
+/// Copy `items` into `set`, skipping any whose key is already present,
+/// then sort the kept prefix by key; returns its length. Duplicates are
+/// dropped before the capacity check, so only distinct keys count.
+fn fill_set<T: Copy, K: Ord>(
+    set: &mut [T; MAX_SET],
+    items: &[T],
+    key: impl Fn(&T) -> K,
+    what: &str,
+) -> u8 {
+    let mut len = 0;
+    for item in items {
+        if set[..len].iter().any(|kept| key(kept) == key(item)) {
+            continue;
+        }
+        assert!(len < MAX_SET, "{what} set holds more than {MAX_SET} distinct records");
+        set[len] = *item;
+        len += 1;
+    }
+    set[..len].sort_unstable_by_key(|x| key(x));
+    len as u8
 }
 
 impl TxnRequest {
-    /// Build a request, sorting and deduplicating both sets.
-    pub fn new(mut reads: Vec<RecId>, mut writes: Vec<TxnWrite>) -> Self {
-        reads.sort_unstable();
-        reads.dedup();
-        writes.sort_unstable_by_key(|w| w.rec);
-        writes.dedup_by_key(|w| w.rec);
-        assert!(!reads.is_empty() || !writes.is_empty(), "empty transaction");
-        TxnRequest { reads, writes }
+    /// Build a request, sorting and deduplicating both sets (the first
+    /// write to a record wins). Panics on an empty transaction or a set of
+    /// more than [`MAX_SET`] distinct records.
+    pub fn new(reads: &[RecId], writes: &[TxnWrite]) -> Self {
+        let unused = TxnWrite { rec: 0, op: WriteOp::Put(0) };
+        let mut req =
+            TxnRequest { reads: [0; MAX_SET], writes: [unused; MAX_SET], n_reads: 0, n_writes: 0 };
+        req.n_reads = fill_set(&mut req.reads, reads, |&r| r, "read");
+        req.n_writes = fill_set(&mut req.writes, writes, |w| w.rec, "write");
+        assert!(req.n_reads + req.n_writes > 0, "empty transaction");
+        req
     }
 
     /// A read-only transaction.
-    pub fn read_only(reads: Vec<RecId>) -> Self {
-        Self::new(reads, Vec::new())
+    pub fn read_only(reads: &[RecId]) -> Self {
+        Self::new(reads, &[])
     }
 
     /// A read-modify-write incrementing `rec`'s counter by `delta`.
     pub fn rmw(rec: RecId, delta: u64) -> Self {
-        Self::new(vec![rec], vec![TxnWrite { rec, op: WriteOp::Add(delta) }])
+        Self::new(&[rec], &[TxnWrite { rec, op: WriteOp::Add(delta) }])
+    }
+
+    /// Records read (optimistically in [`Concurrency::Optimistic`] mode),
+    /// ascending.
+    pub fn reads(&self) -> &[RecId] {
+        &self.reads[..self.n_reads as usize]
+    }
+
+    /// Records written under their record locks, ascending by record.
+    pub fn writes(&self) -> &[TxnWrite] {
+        &self.writes[..self.n_writes as usize]
     }
 
     /// Verbs a conflict-free optimistic execution of this request posts —
@@ -99,13 +141,13 @@ impl TxnRequest {
     pub fn verb_cost(&self) -> u64 {
         // reads + validates (reads ∪ writes) + locks + writes + commits.
         let validates = self.validate_len();
-        self.reads.len() as u64 + validates + 3 * self.writes.len() as u64
+        self.reads().len() as u64 + validates + 3 * self.writes().len() as u64
     }
 
     fn validate_len(&self) -> u64 {
         let extra =
-            self.writes.iter().filter(|w| self.reads.binary_search(&w.rec).is_err()).count();
-        (self.reads.len() + extra) as u64
+            self.writes().iter().filter(|w| self.reads().binary_search(&w.rec).is_err()).count();
+        (self.reads().len() + extra) as u64
     }
 }
 
@@ -233,23 +275,6 @@ impl TxnStats {
     }
 }
 
-/// Deterministic value image for a committed write: the leading 8 bytes
-/// carry the counter, the rest a splitmix-derived pattern of
-/// `(rec, counter)` so digests notice any torn or misplaced write.
-pub fn value_image(rec: RecId, counter: u64, value_len: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(value_len as usize);
-    out.extend_from_slice(&counter.to_le_bytes());
-    let mut x = rec.wrapping_mul(0x9e3779b97f4a7c15) ^ counter;
-    while (out.len() as u64) < value_len {
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-        x ^= x >> 27;
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out.truncate(value_len as usize);
-    out
-}
-
 /// What [`TxnMachine::advance`] reports back to its driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Advance {
@@ -302,7 +327,10 @@ pub struct TxnMachine {
     /// lock/write phases (the lock-hold-time knob of the sweeps).
     hold: SimTime,
     req: TxnRequest,
-    validates: Vec<ValidateEntry>,
+    /// Validate-phase entries: the read set, then write-set records it
+    /// misses (the first `n_validates`).
+    validates: [ValidateEntry; 2 * MAX_SET],
+    n_validates: usize,
     rng: SimRng,
     phase: Phase,
     /// 0-based attempt number (== aborts so far).
@@ -310,18 +338,30 @@ pub struct TxnMachine {
     /// Failed CAS attempts on the lock currently being acquired.
     cas_attempts: u32,
     /// Version snapshot per read-set record.
-    snap: Vec<u64>,
+    snap: [u64; MAX_SET],
     /// Counter value per read-set record.
-    vals: Vec<u64>,
+    vals: [u64; MAX_SET],
     /// Version per write-set record (for the commit bump).
-    wver: Vec<u64>,
+    wver: [u64; MAX_SET],
     /// Locked mode only: counter per write-set record, read under the lock.
-    locked_vals: Vec<u64>,
+    locked_vals: [u64; MAX_SET],
     /// Write-set locks currently held (a prefix, in lock order).
     locked: usize,
     next_wr_id: u64,
     /// Accounting for this machine's transaction.
     pub stats: TxnStats,
+}
+
+/// Panic on an error completion, in every build: after one (say, a table
+/// region too short for its records) the staging bytes are stale, not the
+/// record's lock and version words.
+fn expect_success(cqe: &Completion, wr: &WorkRequest) {
+    assert!(
+        cqe.status == CqeStatus::Success,
+        "txn {:?} verb completed with {:?}",
+        wr.kind,
+        cqe.status
+    );
 }
 
 /// Staging bytes one machine needs for requests reading at most
@@ -346,20 +386,12 @@ impl TxnMachine {
         req: TxnRequest,
         rng: SimRng,
     ) -> Self {
-        assert!(req.reads.len() <= cap_reads, "read set exceeds staging capacity");
-        assert!(
-            req.reads.windows(2).all(|w| w[0] < w[1]),
-            "read set must be sorted and duplicate-free"
-        );
-        assert!(
-            req.writes.windows(2).all(|w| w[0].rec < w[1].rec),
-            "write set must be sorted and duplicate-free"
-        );
+        assert!(req.reads().len() <= cap_reads, "read set exceeds staging capacity");
         if concurrency == Concurrency::Optimistic {
-            for w in &req.writes {
+            for w in req.writes() {
                 if let WriteOp::Add(_) = w.op {
                     assert!(
-                        req.reads.binary_search(&w.rec).is_ok(),
+                        req.reads().binary_search(&w.rec).is_ok(),
                         "optimistic Add needs its record in the read set"
                     );
                 }
@@ -367,38 +399,40 @@ impl TxnMachine {
         } else {
             // Locked mode reads every touched record under its lock, so
             // it needs read buffers for the write set too.
-            assert!(req.writes.len() <= cap_reads, "write set exceeds staging capacity");
+            assert!(req.writes().len() <= cap_reads, "write set exceeds staging capacity");
         }
-        let validates = req
-            .reads
+        let entries = req
+            .reads()
             .iter()
             .enumerate()
             .map(|(i, &rec)| ValidateEntry {
                 rec,
                 read_idx: Some(i),
-                write_idx: req.writes.iter().position(|w| w.rec == rec),
+                write_idx: req.writes().iter().position(|w| w.rec == rec),
             })
-            .chain(req.writes.iter().enumerate().filter_map(|(j, w)| {
-                req.reads.binary_search(&w.rec).is_err().then_some(ValidateEntry {
+            .chain(req.writes().iter().enumerate().filter_map(|(j, w)| {
+                req.reads().binary_search(&w.rec).is_err().then_some(ValidateEntry {
                     rec: w.rec,
                     read_idx: None,
                     write_idx: Some(j),
                 })
-            }))
-            .collect();
+            }));
+        let mut validates =
+            [ValidateEntry { rec: 0, read_idx: None, write_idx: None }; 2 * MAX_SET];
+        let mut n_validates = 0;
+        for entry in entries {
+            validates[n_validates] = entry;
+            n_validates += 1;
+        }
         let phase = match concurrency {
-            Concurrency::Optimistic if !req.reads.is_empty() => Phase::Read(0),
+            Concurrency::Optimistic if !req.reads().is_empty() => Phase::Read(0),
             Concurrency::Optimistic => Phase::Lock(0),
-            Concurrency::Locked if !req.writes.is_empty() => Phase::Lock(0),
+            Concurrency::Locked if !req.writes().is_empty() => Phase::Lock(0),
             // Locked read-only still locks: lock the read records. Model
             // it as optimistic reads instead — a read-only "locked" txn
             // degenerates to read+validate, which is what Storm does too.
             Concurrency::Locked => Phase::Read(0),
         };
-        let snap = vec![0; req.reads.len()];
-        let vals = vec![0; req.reads.len()];
-        let wver = vec![0; req.writes.len()];
-        let locked_vals = vec![0; req.writes.len()];
         TxnMachine {
             table,
             conn,
@@ -410,14 +444,15 @@ impl TxnMachine {
             hold,
             req,
             validates,
+            n_validates,
             rng,
             phase,
             attempt: 0,
             cas_attempts: 0,
-            snap,
-            vals,
-            wver,
-            locked_vals,
+            snap: [0; MAX_SET],
+            vals: [0; MAX_SET],
+            wver: [0; MAX_SET],
+            locked_vals: [0; MAX_SET],
             locked: 0,
             next_wr_id: 0,
             stats: TxnStats::default(),
@@ -453,8 +488,8 @@ impl TxnMachine {
 
     fn post(&mut self, tb: &mut Testbed, now: SimTime, wr: WorkRequest) -> SimTime {
         self.stats.verbs += 1;
-        let cqe = tb.post_one(now, self.conn, wr);
-        debug_assert_eq!(cqe.status, CqeStatus::Success, "txn verb failed: {:?}", cqe.status);
+        let cqe = tb.post_one_ref(now, self.conn, &wr);
+        expect_success(&cqe, &wr);
         cqe.at
     }
 
@@ -468,8 +503,8 @@ impl TxnMachine {
             signaled: true,
         };
         self.next_wr_id += 1;
-        let cqe = tb.post_one(now, self.conn, wr);
-        debug_assert_eq!(cqe.status, CqeStatus::Success);
+        let cqe = tb.post_one_ref(now, self.conn, &wr);
+        expect_success(&cqe, &wr);
         (cqe.old_value, cqe.at)
     }
 
@@ -493,9 +528,9 @@ impl TxnMachine {
         let delay = self.policy.abort_backoff.delay(self.attempt, &mut self.rng);
         self.attempt += 1;
         self.phase = match self.concurrency {
-            Concurrency::Optimistic if !self.req.reads.is_empty() => Phase::Read(0),
+            Concurrency::Optimistic if !self.req.reads().is_empty() => Phase::Read(0),
             Concurrency::Optimistic => Phase::Lock(0),
-            Concurrency::Locked if !self.req.writes.is_empty() => Phase::Lock(0),
+            Concurrency::Locked if !self.req.writes().is_empty() => Phase::Lock(0),
             Concurrency::Locked => Phase::Read(0),
         };
         Advance::Continue(at + delay)
@@ -513,7 +548,7 @@ impl TxnMachine {
     pub fn advance(&mut self, tb: &mut Testbed, now: SimTime) -> Advance {
         match self.phase {
             Phase::Read(i) => {
-                let rec = self.req.reads[i];
+                let rec = self.req.reads()[i];
                 let stride = self.table.stride();
                 let wr_id = self.wr_id();
                 let at = self.post(
@@ -534,11 +569,11 @@ impl TxnMachine {
                 }
                 self.snap[i] = mem.load_u64(self.staging, self.read_buf(i) + VERSION_OFF);
                 self.vals[i] = mem.load_u64(self.staging, self.read_buf(i) + VALUE_OFF);
-                if i + 1 < self.req.reads.len() {
+                if i + 1 < self.req.reads().len() {
                     self.phase = Phase::Read(i + 1);
                     return Advance::Continue(at);
                 }
-                if self.req.writes.is_empty() {
+                if self.req.writes().is_empty() {
                     // Read-only: validate straight away (the hold models
                     // the work done on the snapshot before it is trusted).
                     self.phase = Phase::Validate(0);
@@ -548,12 +583,12 @@ impl TxnMachine {
                 Advance::Continue(at + self.hold)
             }
             Phase::Lock(i) => {
-                let rec = self.req.writes[i].rec;
+                let rec = self.req.writes()[i].rec;
                 let (old, at) = self.post_cas(tb, now, rec);
                 if old == 0 {
                     self.locked = i + 1;
                     self.cas_attempts = 0;
-                    self.phase = if i + 1 < self.req.writes.len() {
+                    self.phase = if i + 1 < self.req.writes().len() {
                         Phase::Lock(i + 1)
                     } else {
                         self.after_locks()
@@ -575,7 +610,7 @@ impl TxnMachine {
             }
             Phase::LockedRead(i) => {
                 // Under the lock: fetch version + value in one read.
-                let rec = self.req.writes[i].rec;
+                let rec = self.req.writes()[i].rec;
                 let len = 8 + self.table.value_len;
                 let wr_id = self.wr_id();
                 let at = self.post(
@@ -593,10 +628,10 @@ impl TxnMachine {
                 self.wver[i] = mem.load_u64(self.staging, self.read_buf(i));
                 let counter = mem.load_u64(self.staging, self.read_buf(i) + 8);
                 self.locked_vals[i] = counter;
-                if let Ok(ri) = self.req.reads.binary_search(&rec) {
+                if let Ok(ri) = self.req.reads().binary_search(&rec) {
                     self.vals[ri] = counter;
                 }
-                if i + 1 < self.req.writes.len() {
+                if i + 1 < self.req.writes().len() {
                     self.phase = Phase::LockedRead(i + 1);
                     return Advance::Continue(at);
                 }
@@ -631,11 +666,11 @@ impl TxnMachine {
                 if let Some(wi) = entry.write_idx {
                     self.wver[wi] = version;
                 }
-                if j + 1 < self.validates.len() {
+                if j + 1 < self.n_validates {
                     self.phase = Phase::Validate(j + 1);
                     return Advance::Continue(at);
                 }
-                if self.req.writes.is_empty() {
+                if self.req.writes().is_empty() {
                     self.stats.commits += 1;
                     self.phase = Phase::Done;
                     return Advance::Done(at);
@@ -644,16 +679,28 @@ impl TxnMachine {
                 Advance::Continue(at)
             }
             Phase::WriteVal(i) => {
-                let w = self.req.writes[i];
+                let w = self.req.writes()[i];
                 let counter = match w.op {
                     WriteOp::Add(delta) => self.base_counter(i, w.rec) + delta,
                     WriteOp::Put(seed) => seed,
                 };
-                let image = value_image(w.rec, counter, self.table.value_len);
+                // The value image, built in place word by word: the
+                // counter, then a splitmix-derived pattern of
+                // `(rec, counter)` so digests notice any torn or misplaced
+                // write. `value_len` is a multiple of 8.
+                let len = self.table.value_len;
                 let m = tb.client_of(self.conn).machine;
                 let off = self.value_build_off();
-                tb.machine_mut(m).mem.write(self.staging, off, &image);
-                let build = tb.cfg.host.memcpy_cost(image.len());
+                let mem = &mut tb.machine_mut(m).mem;
+                mem.store_u64(self.staging, off, counter);
+                let mut x = w.rec.wrapping_mul(0x9e3779b97f4a7c15) ^ counter;
+                for word in (8..len).step_by(8) {
+                    x ^= x >> 30;
+                    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
+                    x ^= x >> 27;
+                    mem.store_u64(self.staging, off + word, x);
+                }
+                let build = tb.cfg.host.memcpy_cost(len as usize);
                 let wr_id = self.wr_id();
                 let at = self.post(
                     tb,
@@ -665,7 +712,7 @@ impl TxnMachine {
                         self.table.value_off(w.rec),
                     ),
                 );
-                self.phase = if i + 1 < self.req.writes.len() {
+                self.phase = if i + 1 < self.req.writes().len() {
                     Phase::WriteVal(i + 1)
                 } else {
                     Phase::Commit(0)
@@ -674,7 +721,7 @@ impl TxnMachine {
             }
             Phase::Commit(i) => {
                 // One 16-byte write clears the lock and bumps the version.
-                let rec = self.req.writes[i].rec;
+                let rec = self.req.writes()[i].rec;
                 let mut image = [0u8; 16];
                 image[8..].copy_from_slice(&(self.wver[i] + 1).to_le_bytes());
                 let m = tb.client_of(self.conn).machine;
@@ -692,7 +739,7 @@ impl TxnMachine {
                         self.table.lock_off(rec),
                     ),
                 );
-                if i + 1 < self.req.writes.len() {
+                if i + 1 < self.req.writes().len() {
                     self.phase = Phase::Commit(i + 1);
                     return Advance::Continue(at);
                 }
@@ -704,7 +751,7 @@ impl TxnMachine {
             Phase::AbortUnlock(i, cause) => {
                 // Release lock i (value and version untouched): write an
                 // 8-byte zero from the scratch word.
-                let rec = self.req.writes[i].rec;
+                let rec = self.req.writes()[i].rec;
                 let m = tb.client_of(self.conn).machine;
                 let off = self.scratch_off();
                 tb.machine_mut(m).mem.store_u64(self.staging, off, 0);
@@ -735,9 +782,127 @@ impl TxnMachine {
         match self.concurrency {
             Concurrency::Locked => self.locked_vals[write_idx],
             Concurrency::Optimistic => {
-                let ri = self.req.reads.binary_search(&rec).expect("checked in new()");
+                let ri = self.req.reads().binary_search(&rec).expect("checked in new()");
                 self.vals[ri]
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{build_pod, PodSetup};
+    use cluster::ClusterConfig;
+
+    /// Reference value image for a committed write: the leading 8 bytes
+    /// carry the counter, the rest a splitmix-derived pattern of
+    /// `(rec, counter)`.
+    fn value_image(rec: RecId, counter: u64, value_len: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(value_len as usize);
+        out.extend_from_slice(&counter.to_le_bytes());
+        let mut x = rec.wrapping_mul(0x9e3779b97f4a7c15) ^ counter;
+        while (out.len() as u64) < value_len {
+            x ^= x >> 30;
+            x = x.wrapping_mul(0xbf58476d1ce4e5b9);
+            x ^= x >> 27;
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        out.truncate(value_len as usize);
+        out
+    }
+
+    fn pod(tb: &mut Testbed, records: u64, value_len: u64) -> PodSetup {
+        build_pod(tb, 0, 1, 1, 2, records, value_len)
+    }
+
+    /// Run `req` on `table` through slot 0 of `pod` until it finishes.
+    fn run(tb: &mut Testbed, pod: &PodSetup, table: TxnTable, req: TxnRequest) -> TxnMachine {
+        let mut m = TxnMachine::new(
+            table,
+            pod.conns[0],
+            pod.staging,
+            0,
+            2,
+            Concurrency::Optimistic,
+            RetryPolicy::default(),
+            SimTime::ZERO,
+            req,
+            SimRng::new(1),
+        );
+        let mut now = SimTime::ZERO;
+        while let Advance::Continue(at) = m.advance(tb, now) {
+            now = at;
+        }
+        m
+    }
+
+    fn put(rec: RecId, seed: u64) -> TxnWrite {
+        TxnWrite { rec, op: WriteOp::Put(seed) }
+    }
+
+    fn recs(writes: &[TxnWrite]) -> Vec<RecId> {
+        writes.iter().map(|w| w.rec).collect()
+    }
+
+    #[test]
+    fn write_val_stages_the_reference_value_image() {
+        for value_len in [8, 32, 48] {
+            let seed = 0x1234_5678_9abc;
+            for (req, rec, counter) in
+                [(TxnRequest::new(&[], &[put(3, seed)]), 3, seed), (TxnRequest::rmw(5, 7), 5, 7)]
+            {
+                let mut tb = Testbed::new(ClusterConfig { machines: 2, ..Default::default() });
+                let pod = pod(&mut tb, 16, value_len);
+                let m = run(&mut tb, &pod, pod.table, req);
+                assert_eq!(m.stats.commits, 1);
+                let want = value_image(rec, counter, value_len);
+                let staged = tb.machine(0).mem.read(pod.staging, m.value_build_off(), value_len);
+                assert_eq!(staged, want, "staged image, value_len {value_len}");
+                let table_mr = MrId(pod.table.rkey.0 as u32);
+                let stored = tb.machine(1).mem.read(table_mr, pod.table.value_off(rec), value_len);
+                assert_eq!(stored, want, "committed value, value_len {value_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn new_sorts_both_sets() {
+        let req = TxnRequest::new(&[9, 3], &[put(7, 1), put(2, 2)]);
+        assert_eq!(req.reads(), &[3, 9]);
+        assert_eq!(recs(req.writes()), [2, 7]);
+    }
+
+    #[test]
+    fn new_drops_duplicates_before_the_cap() {
+        let req = TxnRequest::new(&[4, 4, 1, 4, 1], &[put(6, 1), put(6, 2), put(6, 3)]);
+        assert_eq!(req.reads(), &[1, 4]);
+        assert_eq!(recs(req.writes()), [6]);
+        assert_eq!(req.writes()[0].op, WriteOp::Put(1), "the first write to a record wins");
+        assert_eq!(req.verb_cost(), 2 + 3 + 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "read set holds more than 2 distinct records")]
+    fn new_rejects_reads_past_the_cap() {
+        TxnRequest::read_only(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "write set holds more than 2 distinct records")]
+    fn new_rejects_writes_past_the_cap() {
+        TxnRequest::new(&[], &[put(1, 0), put(2, 0), put(3, 0)]);
+    }
+
+    /// A table claiming more records than its region holds draws error
+    /// completions; the machine must stop there, not read stale staging
+    /// bytes as the record's lock and version.
+    #[test]
+    #[should_panic(expected = "txn Read verb completed with RemoteAccessError")]
+    fn error_completion_panics_on_an_undersized_table() {
+        let mut tb = Testbed::new(ClusterConfig { machines: 2, ..Default::default() });
+        let pod = pod(&mut tb, 4, 32);
+        let oversized = TxnTable { records: 1024, ..pod.table };
+        run(&mut tb, &pod, oversized, TxnRequest::rmw(1000, 1));
     }
 }

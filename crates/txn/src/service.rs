@@ -11,9 +11,10 @@
 //!   staging window. A transaction occupies its slot from dispatch to
 //!   commit/abort-final, so concurrent transactions never share staging
 //!   bytes (which would be an E005 write-write race).
-//! * **tenant queues** — each tenant is a pre-drawn, arrival-ordered
-//!   schedule of [`TxnRequest`]s plus a FIFO of admitted-but-undispatched
-//!   requests, bounded by the tenant's in-flight quota.
+//! * **tenant queues** — each tenant is an arrival-ordered schedule of
+//!   [`TxnRequest`]s, drawn at admission, plus a FIFO of
+//!   admitted-but-undispatched requests, bounded by the tenant's
+//!   in-flight quota.
 //! * the **scheduler** — FIFO (arrival order, the no-isolation baseline)
 //!   or deficit round-robin over estimated verb cost.
 //!
@@ -97,14 +98,17 @@ impl Default for ServiceConfig {
     }
 }
 
+/// An arrival-ordered request schedule, pulled one arrival at a time as
+/// arrivals are admitted (times strictly increasing is not required,
+/// non-decreasing is).
+pub type Schedule = Box<dyn Iterator<Item = (SimTime, TxnRequest)> + Send>;
+
 /// One tenant's workload and isolation settings.
-#[derive(Clone, Debug)]
 pub struct TenantSpec {
     /// Max transactions in flight (slots held) at once.
     pub quota: usize,
-    /// Arrival-ordered request schedule (times strictly increasing is not
-    /// required, non-decreasing is).
-    pub schedule: Vec<(SimTime, TxnRequest)>,
+    /// The tenant's requests, in arrival order.
+    pub schedule: Schedule,
 }
 
 /// Per-tenant telemetry, readable after the run.
@@ -148,8 +152,10 @@ impl TenantStats {
 
 struct Tenant {
     quota: usize,
-    /// Remaining schedule, reversed so admission pops from the back.
-    schedule: Vec<(SimTime, TxnRequest)>,
+    /// The schedule's next arrival, already pulled (`None` once drained).
+    next: Option<(SimTime, TxnRequest)>,
+    /// Arrivals after `next`.
+    schedule: Schedule,
     /// Admitted, waiting for a slot (front = oldest).
     pending: VecDeque<(SimTime, TxnRequest)>,
     inflight: usize,
@@ -215,14 +221,10 @@ impl TxnService {
             .enumerate()
             .map(|(t, spec)| {
                 assert!(spec.quota >= 1, "tenant quota must be at least 1");
-                debug_assert!(
-                    spec.schedule.windows(2).all(|w| w[0].0 <= w[1].0),
-                    "schedule must be arrival-ordered"
-                );
                 let mut schedule = spec.schedule;
-                schedule.reverse();
                 Tenant {
                     quota: spec.quota,
+                    next: schedule.next(),
                     schedule,
                     pending: VecDeque::new(),
                     inflight: 0,
@@ -265,8 +267,12 @@ impl TxnService {
 
     fn admit(&mut self, now: SimTime) {
         for t in &mut self.tenants {
-            while t.schedule.last().is_some_and(|(at, _)| *at <= now) {
-                let entry = t.schedule.pop().unwrap();
+            while let Some(entry) = t.next.filter(|(at, _)| *at <= now) {
+                t.next = t.schedule.next();
+                debug_assert!(
+                    t.next.is_none_or(|(at, _)| at >= entry.0),
+                    "schedule must be arrival-ordered"
+                );
                 t.stats.admitted += 1;
                 t.pending.push_back(entry);
             }
@@ -291,8 +297,8 @@ impl TxnService {
         let rng = ten.rng.split(ten.seq);
         ten.seq += 1;
         ten.inflight += 1;
-        let slot = &self.slots[s];
-        let mut machine = TxnMachine::new(
+        let slot = &mut self.slots[s];
+        let machine = TxnMachine::new(
             self.table,
             slot.conn,
             self.staging,
@@ -304,21 +310,32 @@ impl TxnService {
             req,
             rng,
         );
-        let resume_at = match machine.advance(tb, now) {
-            Advance::Continue(at) => at,
-            Advance::Done(at) => {
-                self.retire(t, arrival, at, &machine);
-                return;
-            }
-        };
-        self.slots[s].running = Some(Running { tenant: t, arrival, resume_at, machine });
+        slot.running = Some(Running { tenant: t, arrival, resume_at: now, machine });
+        self.advance_slot(tb, now, s);
     }
 
-    fn retire(&mut self, t: usize, arrival: SimTime, done: SimTime, machine: &TxnMachine) {
+    /// Run one protocol step of slot `s`'s transaction at `now`, in place,
+    /// retiring the transaction if it finishes.
+    fn advance_slot(&mut self, tb: &mut Testbed, now: SimTime, s: usize) {
+        let running = self.slots[s].running.as_mut().expect("advance of an idle slot");
+        match running.machine.advance(tb, now) {
+            Advance::Continue(at) => {
+                debug_assert!(at > now, "txn resume time must advance");
+                running.resume_at = at;
+            }
+            Advance::Done(at) => {
+                let (t, arrival, stats) = (running.tenant, running.arrival, running.machine.stats);
+                self.slots[s].running = None;
+                self.retire(t, arrival, at, &stats);
+            }
+        }
+    }
+
+    fn retire(&mut self, t: usize, arrival: SimTime, done: SimTime, txn: &TxnStats) {
         let ten = &mut self.tenants[t];
         ten.inflight -= 1;
         ten.stats.completed += 1;
-        ten.stats.txn.merge(&machine.stats);
+        ten.stats.txn.merge(txn);
         ten.stats.meter.record(done);
         if arrival >= self.cfg.warmup {
             ten.stats.hist.record(done - arrival);
@@ -377,7 +394,7 @@ impl TxnService {
     }
 
     fn next_arrival(&self) -> Option<SimTime> {
-        self.tenants.iter().filter_map(|t| t.schedule.last().map(|(at, _)| *at)).min()
+        self.tenants.iter().filter_map(|t| t.next.map(|(at, _)| at)).min()
     }
 }
 
@@ -387,20 +404,8 @@ impl cluster::Client for TxnService {
         // per slot per engine step: every advance lands strictly in the
         // future, so a loop here could never run twice anyway.
         for s in 0..self.slots.len() {
-            let due = self.slots[s].running.as_ref().is_some_and(|r| r.resume_at <= now);
-            if !due {
-                continue;
-            }
-            let mut running = self.slots[s].running.take().unwrap();
-            match running.machine.advance(tb, now) {
-                Advance::Continue(at) => {
-                    debug_assert!(at > now, "txn resume time must advance");
-                    running.resume_at = at;
-                    self.slots[s].running = Some(running);
-                }
-                Advance::Done(at) => {
-                    self.retire(running.tenant, running.arrival, at, &running.machine);
-                }
+            if self.slots[s].running.as_ref().is_some_and(|r| r.resume_at <= now) {
+                self.advance_slot(tb, now, s);
             }
         }
         // 2. Admit arrivals that have come due, then 3. fill free slots.

@@ -113,13 +113,13 @@ pub fn gen_request(
             if rng.gen_bool(0.5) {
                 TxnRequest::rmw(rec, 1)
             } else {
-                TxnRequest::read_only(vec![rec])
+                TxnRequest::read_only(&[rec])
             }
         }
         TxnProfile::Shuffle => {
             let rec = geo.pick(tenant, rng);
             let seed = rng.gen_range(u64::MAX);
-            TxnRequest::new(Vec::new(), vec![TxnWrite { rec, op: WriteOp::Put(seed) }])
+            TxnRequest::new(&[], &[TxnWrite { rec, op: WriteOp::Put(seed) }])
         }
         TxnProfile::Join => {
             let a = geo.pick(tenant, rng);
@@ -127,7 +127,7 @@ pub fn gen_request(
             if b == a {
                 b = (a + 1) % geo.records;
             }
-            TxnRequest::read_only(vec![a, b])
+            TxnRequest::read_only(&[a, b])
         }
         TxnProfile::Dlog => {
             // The shared tail: always record 0, always a bump.
@@ -172,13 +172,13 @@ mod tests {
         let geo = ConflictGeometry { records: 256, hot: 8, conflict: 0.2, tenants: 2 };
         let mut rng = SimRng::new(9);
         let dlog = gen_request(TxnProfile::Dlog, &geo, 0, &mut rng);
-        assert_eq!(dlog.reads, vec![0]);
-        assert_eq!(dlog.writes.len(), 1);
+        assert_eq!(dlog.reads(), &[0]);
+        assert_eq!(dlog.writes().len(), 1);
         let join = gen_request(TxnProfile::Join, &geo, 0, &mut rng);
-        assert_eq!(join.reads.len(), 2);
-        assert!(join.writes.is_empty());
+        assert_eq!(join.reads().len(), 2);
+        assert!(join.writes().is_empty());
         let shuffle = gen_request(TxnProfile::Shuffle, &geo, 1, &mut rng);
-        assert!(shuffle.reads.is_empty());
-        assert_eq!(shuffle.writes.len(), 1);
+        assert!(shuffle.reads().is_empty());
+        assert_eq!(shuffle.writes().len(), 1);
     }
 }

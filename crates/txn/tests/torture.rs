@@ -71,7 +71,7 @@ fn read_only_txn_validates_without_writing() {
         Concurrency::Optimistic,
         RetryPolicy::default(),
         SimTime::ZERO,
-        TxnRequest::read_only(vec![3, 9]),
+        TxnRequest::read_only(&[3, 9]),
         SimRng::new(2),
     );
     drive(&mut m, &mut tb, SimTime::ZERO);
@@ -194,14 +194,12 @@ fn run_torture(t: Torture, shards: usize) -> TortureOutcome {
             .map(|t| {
                 let mut rng = root.split(100 + (pod * tenants + t) as u64);
                 let mut at = SimTime::ZERO;
-                let schedule = (0..ops)
-                    .map(|_| {
-                        at += SimTime::from_ns(800 + rng.gen_range(2400));
-                        let rec = geo.pick(t, &mut rng);
-                        (at, TxnRequest::rmw(rec, 1))
-                    })
-                    .collect();
-                TenantSpec { quota: 2, schedule }
+                let schedule = (0..ops).map(move |_| {
+                    at += SimTime::from_ns(800 + rng.gen_range(2400));
+                    let rec = geo.pick(t, &mut rng);
+                    (at, TxnRequest::rmw(rec, 1))
+                });
+                TenantSpec { quota: 2, schedule: Box::new(schedule) }
             })
             .collect();
         let service = TxnService::new(

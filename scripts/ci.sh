@@ -57,6 +57,18 @@ cargo run --release --offline -p bench -- --traffic all --load 0.25 --check-dete
 echo "== txn smoke sweep (3-way determinism, all profiles, both modes) =="
 cargo run --release --offline -p bench -- --txn all --load 0.05 --check-determinism
 
+echo "== txn digests (txn-contention: both modes x five conflicts; txn-fairness) =="
+# The smoke sweep only compares legs of one build, so the txn
+# experiments' digest notes are pinned here, as fig6-xxl's are: a change
+# to commit/abort accounting or latency must not pass silently.
+txn=$(cargo run --release --offline -p bench -- txn-contention txn-fairness)
+for pinned in \
+  "optimistic digests: 0:6c1f42240f44b2b3 0.2:6a8dd2254c3f56b9 0.4:b1676f64d7d4c0c1 0.6:4a0bde481194a0c2 0.8:5f93161aba97e6b5" \
+  "locked digests: 0:a647a401897f05ec 0.2:fc218d6f747219b0 0.4:aab6dc14549596ce 0.6:d426015052b6f41b 0.8:de2a954110c7dd89" \
+  "digests: fifo-x1:6eb999ac98baf268 fifo-x8:9f6949fee4777880 drr-x1:f473dfbd7bde0f7a drr-x8:c465eeb19a8fb24c"; do
+  grep -qF "$pinned" <<<"$txn" || { echo "txn: no note matches '$pinned'"; exit 1; }
+done
+
 echo "== micro set: --shards 1 and --shards 3 render identical stdout =="
 # The micro set's fig6/fig8 cells are multi-component testbeds, and three
 # shards deal their components unevenly; timing goes to stderr, so the
