@@ -2,6 +2,7 @@
 //! distributed log (19).
 
 use crate::report::{Experiment, Output};
+use crate::RunCtx;
 use apps::{
     run_dlog, run_hashtable, run_join, run_shuffle, single_machine_time, DlogConfig, HtConfig,
     HtVariant, JoinConfig, ShuffleConfig, ShuffleVariant,
@@ -155,8 +156,8 @@ pub fn fig15() -> Vec<Experiment> {
 }
 
 /// Fig 16: join execution time vs batch size and executor count.
-pub fn fig16(scale: Scale) -> Vec<Experiment> {
-    let tuples = scale.join_tuples();
+pub fn fig16(ctx: &RunCtx) -> Vec<Experiment> {
+    let tuples = ctx.scale.join_tuples();
     let batches = [1usize, 2, 4, 8, 16, 32];
     // (a) time vs batch for theta = 4/16, with and without NUMA affinity.
     // Points are independent simulations — fan them out across cores.
@@ -171,7 +172,7 @@ pub fn fig16(scale: Scale) -> Vec<Experiment> {
         .enumerate()
         .flat_map(|(ci, _)| batches.iter().enumerate().map(move |(bi, _)| (ci, bi)))
         .collect();
-    let times_a = crate::par_map(points_a.clone(), |(ci, bi)| {
+    let times_a = crate::par_map(ctx, points_a.clone(), |(ci, bi)| {
         let (_, theta, numa) = configs_a[ci];
         run_join(&JoinConfig {
             executors: theta,
@@ -196,7 +197,7 @@ pub fn fig16(scale: Scale) -> Vec<Experiment> {
         .enumerate()
         .flat_map(|(ci, _)| threads.iter().enumerate().map(move |(ti, _)| (ci, ti)))
         .collect();
-    let times_b = crate::par_map(points_b.clone(), |(ci, ti)| {
+    let times_b = crate::par_map(ctx, points_b.clone(), |(ci, ti)| {
         run_join(&JoinConfig {
             executors: threads[ti],
             batch: configs_b[ci].1,
@@ -250,9 +251,12 @@ pub fn fig16(scale: Scale) -> Vec<Experiment> {
 }
 
 /// Fig 17: join time breakdown across data scales.
-pub fn fig17(scale: Scale) -> Vec<Experiment> {
-    let scales: Vec<u64> =
-        if scale.paper { vec![1 << 24, 1 << 25, 1 << 26] } else { vec![1 << 20, 1 << 21, 1 << 22] };
+pub fn fig17(ctx: &RunCtx) -> Vec<Experiment> {
+    let scales: Vec<u64> = if ctx.scale.paper {
+        vec![1 << 24, 1 << 25, 1 << 26]
+    } else {
+        vec![1 << 20, 1 << 21, 1 << 22]
+    };
     let mut series = Vec::new();
     let mut single = Series::new("Single Machine");
     for &n in &scales {
@@ -271,7 +275,7 @@ pub fn fig17(scale: Scale) -> Vec<Experiment> {
         .flat_map(|(ci, _)| scales.iter().enumerate().map(move |(si, _)| (ci, si)))
         .collect();
     let scales_ref = &scales;
-    let times = crate::par_map(points.clone(), |(ci, si)| {
+    let times = crate::par_map(ctx, points.clone(), |(ci, si)| {
         let (_, theta, lambda, numa) = configs[ci];
         run_join(&JoinConfig {
             executors: theta,

@@ -226,6 +226,13 @@ pub fn rpc_sequencer_mops(threads: usize, tickets_per_thread: u64, transport: Tr
     simcore::mops(threads as u64 * tickets_per_thread, makespan)
 }
 
+/// Fig 10: both panels.
+pub fn fig10() -> Vec<Experiment> {
+    let mut v = fig10a();
+    v.extend(fig10b());
+    v
+}
+
 /// Fig 10(a): spinlock throughput, local vs remote vs RPC (± backoff).
 pub fn fig10a() -> Vec<Experiment> {
     let host = HostMemConfig::default();

@@ -5,9 +5,11 @@
 //! `repro` binary drives the modules here; standalone timing binaries
 //! (in `benches/`, built on [`harness`]) cover simulator hot paths.
 //!
-//! Experiments are independent deterministic simulations, so the runner
-//! fans them out across cores with [`par_map`]; results are merged back
-//! in submission order and are byte-identical to a serial run.
+//! Each experiment group is one row of [`EXPERIMENTS`], and runs under
+//! the options of one [`RunCtx`]. Experiments are independent
+//! deterministic simulations, so the runner fans them out across cores
+//! with [`par_map`]; results are merged back in submission order and are
+//! byte-identical to a serial run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,47 +30,43 @@ pub mod txnbench;
 pub use appfigs::Scale;
 pub use report::{Experiment, Output};
 
-/// `0` = decide automatically; otherwise the fixed worker count set by
-/// [`set_parallelism`].
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+use txn::Concurrency;
+use verbcheck::VerbProgram;
 
-/// Pin the number of worker threads [`par_map`] uses (`Some(1)` forces
-/// serial execution); `None` restores the default (the `REPRO_JOBS` env
-/// var if set, else the machine's available parallelism). Parallelism
-/// only changes wall-clock, never results — experiments are independent
-/// deterministic simulations and outputs are merged in input order.
-pub fn set_parallelism(jobs: Option<usize>) {
-    JOBS_OVERRIDE.store(jobs.unwrap_or(0), Ordering::SeqCst);
+/// The run options every experiment receives. The runner resolves its
+/// command line into one value; each determinism-gate leg is another.
+/// None of these options changes a result, only how the work is spread.
+#[derive(Clone, Copy, Debug)]
+pub struct RunCtx {
+    /// Worker threads [`par_map`] may use (at least 1).
+    pub jobs: usize,
+    /// Shards a pinned-client run deals its connected components to (at
+    /// least 1; 1 runs every component on the calling thread).
+    pub shards: usize,
+    /// Laptop-sized or paper-sized inputs.
+    pub scale: Scale,
 }
 
-/// The worker count [`par_map`] will use for `n` items.
-pub fn parallelism(n: usize) -> usize {
-    let configured = match JOBS_OVERRIDE.load(Ordering::SeqCst) {
-        0 => std::env::var("REPRO_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&j| j > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)),
-        j => j,
-    };
-    configured.min(n).max(1)
+impl RunCtx {
+    /// One worker, one shard, laptop-sized inputs.
+    pub const SERIAL: RunCtx = RunCtx { jobs: 1, shards: 1, scale: Scale { paper: false } };
 }
 
 /// Order-preserving parallel map over independent experiment points
 /// (scoped threads; every simulation run is self-contained and `Send`).
 ///
-/// A bounded worker pool pulls items off a shared cursor, so `items` may
-/// be much longer than the core count. Results come back in input order
-/// regardless of scheduling, and each worker's simulated-op count
-/// ([`simcore::opcount`]) is folded into the calling thread's counter, so
-/// op accounting stays exact under nesting (experiment-level fan-out
-/// over point-level fan-out).
-pub fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+/// A pool of at most `ctx.jobs` workers pulls items off a shared cursor,
+/// so `items` may be much longer than the core count. Results come back
+/// in input order regardless of scheduling, and each worker's
+/// simulated-op count ([`simcore::opcount`]) is folded into the calling
+/// thread's counter, so op accounting stays exact under nesting
+/// (experiment-level fan-out over point-level fan-out).
+pub fn par_map<T: Send, R: Send>(ctx: &RunCtx, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
-    let workers = parallelism(n);
+    let workers = ctx.jobs.min(n).max(1);
     if workers == 1 {
         return items.into_iter().map(f).collect();
     }
@@ -108,95 +106,141 @@ pub fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Ve
     results.into_iter().map(|r| r.expect("worker finished")).collect()
 }
 
-/// Every experiment id the harness can regenerate, in paper order.
-pub const ALL_IDS: &[&str] = &[
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "table1",
-    "fig6",
-    "fig8",
-    "table2",
-    "table3",
-    "fig10",
-    "fig12",
-    "fig13",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "extra-mr-scale",
-    "extra-qp-scale",
-    "extra-recovery",
-    "extra-reg-cost",
-    "extra-ycsb",
-    "fig6-xl",
-    "fig6-xxl",
-    "ablate-occupancy",
-    "ablate-mtt",
-    "ablate-backoff",
-    "ablate-inline",
-    "traffic-hashtable",
-    "traffic-shuffle",
-    "traffic-join",
-    "traffic-dlog",
-    "traffic-burst",
-    "traffic-series",
-    "txn-contention",
-    "txn-fairness",
+/// Membership of an experiment in a named set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tag {
+    /// The §III microbenchmark set (`repro micro`, the bench wall-clock
+    /// acceptance target).
+    Micro,
+    /// The `repro --check-determinism` set.
+    Gate,
+}
+
+/// Verb programs of one experiment, labelled relative to its id.
+pub type Programs = Vec<(String, VerbProgram)>;
+
+/// One experiment group the harness can regenerate.
+pub struct ExpSpec {
+    /// The id `repro` takes on its command line.
+    pub id: &'static str,
+    /// Run the group.
+    pub run: fn(&RunCtx) -> Vec<Experiment>,
+    /// The verb programs `repro --lint` analyzes; `None` for an
+    /// experiment that posts no verbs.
+    pub programs: Option<fn() -> Programs>,
+    /// The sets this experiment belongs to.
+    pub tags: &'static [Tag],
+}
+
+impl ExpSpec {
+    /// Whether this experiment carries `tag`.
+    pub fn has(&self, tag: Tag) -> bool {
+        self.tags.contains(&tag)
+    }
+}
+
+/// One registry row.
+const fn exp(
+    id: &'static str,
+    run: fn(&RunCtx) -> Vec<Experiment>,
+    programs: Option<fn() -> Programs>,
+    tags: &'static [Tag],
+) -> ExpSpec {
+    ExpSpec { id, run, programs, tags }
+}
+
+use traffic::AppKind as App;
+use Tag::{Gate, Micro};
+
+/// Every experiment the harness can regenerate, in paper order: id, run,
+/// lint programs, tags. This table is the one list of experiment ids.
+pub static EXPERIMENTS: &[ExpSpec] = &[
+    exp("fig1", |_| micro::fig1(), Some(lint::fig1), &[Micro]),
+    exp("fig3", |_| micro::fig3(), Some(|| lint::strategies(16, 32)), &[Micro]),
+    exp("fig4", |_| micro::fig4(), Some(|| lint::strategies(32, 32)), &[Micro]),
+    exp("fig5", |_| micro::fig5(), Some(lint::fig5), &[Micro]),
+    exp("table1", |_| micro::table1(), Some(|| lint::strategies(32, 32)), &[Micro, Gate]),
+    exp("fig6", micro::fig6, Some(lint::fig6), &[Micro]),
+    exp("fig8", micro::fig8, Some(lint::fig8), &[Micro, Gate]),
+    // Local inter-socket memory only: no verbs.
+    exp("table2", |_| micro::table2(), None, &[Micro, Gate]),
+    exp("table3", |_| micro::table3(), Some(lint::table3), &[Micro]),
+    exp("fig10", |_| atomics::fig10(), Some(lint::atomics), &[]),
+    exp("fig12", |_| appfigs::fig12(), Some(lint::hashtable), &[]),
+    exp("fig13", |_| appfigs::fig13(), Some(lint::hashtable), &[]),
+    exp("fig15", |_| appfigs::fig15(), Some(lint::shuffle), &[]),
+    exp("fig16", appfigs::fig16, Some(lint::join), &[]),
+    exp("fig17", appfigs::fig17, Some(lint::join), &[]),
+    exp("fig18", |_| appfigs::fig18(), Some(lint::join), &[]),
+    exp("fig19", |_| appfigs::fig19(), Some(lint::dlog), &[]),
+    exp("extra-mr-scale", |_| micro::extra_mr_scale(), Some(lint::mr_scale), &[]),
+    exp("extra-qp-scale", |_| micro::extra_qp_scale(), Some(lint::qp_scale), &[]),
+    exp("extra-recovery", |_| appfigs::extra_recovery(), Some(lint::recovery), &[]),
+    exp("extra-reg-cost", |_| micro::extra_reg_cost(), Some(lint::reg_cost), &[]),
+    exp("extra-ycsb", |_| appfigs::extra_ycsb(), Some(lint::ycsb), &[]),
+    // The fleet sweeps replicate fig6's posting pattern across many
+    // machine pairs; per-pair programs are identical, so they lint it
+    // once. fig6-xxl's notes carry the sparse pool's memory digest, so
+    // the gate pins memory placement too.
+    exp("fig6-xl", micro::fig6_xl, Some(lint::fig6), &[]),
+    exp("fig6-xxl", micro::fig6_xxl, Some(lint::fig6), &[Gate]),
+    exp("ablate-occupancy", |_| ablate::ablate_occupancy(), Some(lint::rand_write), &[]),
+    exp("ablate-mtt", |_| ablate::ablate_mtt_capacity(), Some(lint::rand_write), &[]),
+    exp("ablate-backoff", |_| ablate::ablate_backoff(), Some(lint::atomics), &[]),
+    exp("ablate-inline", |_| ablate::ablate_inline(), Some(lint::inline), &[]),
+    exp(
+        "traffic-hashtable",
+        |c| openloop::experiment(App::Hashtable, c),
+        Some(|| lint::traffic(App::Hashtable)),
+        &[],
+    ),
+    exp(
+        "traffic-shuffle",
+        |c| openloop::experiment(App::Shuffle, c),
+        Some(|| lint::traffic(App::Shuffle)),
+        &[],
+    ),
+    exp(
+        "traffic-join",
+        |c| openloop::experiment(App::Join, c),
+        Some(|| lint::traffic(App::Join)),
+        &[],
+    ),
+    exp(
+        "traffic-dlog",
+        |c| openloop::experiment(App::Dlog, c),
+        Some(|| lint::traffic(App::Dlog)),
+        &[],
+    ),
+    // Burstiness changes when verbs are posted, never which, so the
+    // burst knees and the windowed series lint the app drivers' shapes.
+    exp("traffic-burst", txnbench::burst_experiment, Some(lint::traffic_all), &[]),
+    exp("traffic-series", txnbench::series_experiment, Some(|| lint::traffic(App::Hashtable)), &[]),
+    // The service scheduler, abort accounting and tenant telemetry ride
+    // inside the gate. txn-contention runs one pod, so txn-fairness's two
+    // pods are what the sharded leg deals.
+    exp(
+        "txn-contention",
+        txnbench::contention_experiment,
+        Some(|| lint::txn(&[Concurrency::Optimistic, Concurrency::Locked])),
+        &[Gate],
+    ),
+    exp(
+        "txn-fairness",
+        txnbench::fairness_experiment,
+        Some(|| lint::txn(&[Concurrency::Optimistic])),
+        &[Gate],
+    ),
 ];
 
-/// The §III microbenchmark set (the bench wall-clock acceptance target).
-pub const MICRO_IDS: &[&str] =
-    &["fig1", "fig3", "fig4", "fig5", "table1", "fig6", "fig8", "table2", "table3"];
+/// The registered experiment called `id`.
+pub fn lookup(id: &str) -> Option<&'static ExpSpec> {
+    EXPERIMENTS.iter().find(|s| s.id == id)
+}
 
-/// Run one experiment group by id.
-pub fn run_experiment(id: &str, scale: Scale) -> Vec<Experiment> {
-    match id {
-        "fig1" => micro::fig1(),
-        "fig3" => micro::fig3(),
-        "fig4" => micro::fig4(),
-        "fig5" => micro::fig5(),
-        "table1" => micro::table1(),
-        "fig6" => micro::fig6(),
-        "fig8" => micro::fig8(),
-        "table2" => micro::table2(),
-        "table3" => micro::table3(),
-        "fig10" => {
-            let mut v = atomics::fig10a();
-            v.extend(atomics::fig10b());
-            v
-        }
-        "fig12" => appfigs::fig12(),
-        "fig13" => appfigs::fig13(),
-        "fig15" => appfigs::fig15(),
-        "fig16" => appfigs::fig16(scale),
-        "fig17" => appfigs::fig17(scale),
-        "fig18" => appfigs::fig18(),
-        "fig19" => appfigs::fig19(),
-        "extra-mr-scale" => micro::extra_mr_scale(),
-        "extra-qp-scale" => micro::extra_qp_scale(),
-        "extra-recovery" => appfigs::extra_recovery(),
-        "extra-reg-cost" => micro::extra_reg_cost(),
-        "extra-ycsb" => appfigs::extra_ycsb(),
-        "fig6-xl" => micro::fig6_xl(scale),
-        "fig6-xxl" => micro::fig6_xxl(scale),
-        "ablate-occupancy" => ablate::ablate_occupancy(),
-        "ablate-mtt" => ablate::ablate_mtt_capacity(),
-        "ablate-backoff" => ablate::ablate_backoff(),
-        "ablate-inline" => ablate::ablate_inline(),
-        "traffic-hashtable" => openloop::experiment("traffic-hashtable", scale),
-        "traffic-shuffle" => openloop::experiment("traffic-shuffle", scale),
-        "traffic-join" => openloop::experiment("traffic-join", scale),
-        "traffic-dlog" => openloop::experiment("traffic-dlog", scale),
-        "traffic-burst" => txnbench::burst_experiment(scale),
-        "traffic-series" => txnbench::series_experiment(scale),
-        "txn-contention" => txnbench::contention_experiment(scale),
-        "txn-fairness" => txnbench::fairness_experiment(scale),
-        other => panic!("unknown experiment id {other:?}; known: {ALL_IDS:?}"),
-    }
+/// Every registered id, in registry order (for messages).
+pub fn ids() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|s| s.id).collect()
 }
 
 #[cfg(test)]
@@ -205,20 +249,24 @@ mod tests {
 
     #[test]
     fn all_ids_resolve() {
-        // Run the cheapest experiments end-to-end; just resolve the rest.
-        for id in ["table2"] {
-            let exps = run_experiment(id, Scale { paper: false });
-            assert!(!exps.is_empty());
-            for e in exps {
-                assert!(!e.render().is_empty());
-            }
+        for spec in EXPERIMENTS {
+            let count = EXPERIMENTS.iter().filter(|s| s.id == spec.id).count();
+            assert_eq!(count, 1, "id {:?} registered {count} times", spec.id);
+        }
+        assert!(lookup("fig99").is_none());
+        // Run the cheapest experiment end to end.
+        let exps = (lookup("table2").expect("table2").run)(&RunCtx::SERIAL);
+        assert!(!exps.is_empty());
+        for e in exps {
+            assert!(!e.render().is_empty());
         }
     }
 
     #[test]
     fn par_map_preserves_order_and_ops() {
         let before = simcore::opcount::current();
-        let out = par_map((0..100u64).collect(), |i| {
+        let ctx = RunCtx { jobs: 4, ..RunCtx::SERIAL };
+        let out = par_map(&ctx, (0..100u64).collect(), |i| {
             simcore::opcount::add(i);
             i * 2
         });
@@ -229,10 +277,9 @@ mod tests {
 
     #[test]
     fn par_map_serial_override_matches() {
-        set_parallelism(Some(1));
-        let serial = par_map((0..20u64).collect(), |i| i + 1);
-        set_parallelism(None);
-        let parallel = par_map((0..20u64).collect(), |i| i + 1);
+        let serial = par_map(&RunCtx::SERIAL, (0..20u64).collect(), |i| i + 1);
+        let parallel =
+            par_map(&RunCtx { jobs: 3, ..RunCtx::SERIAL }, (0..20u64).collect(), |i| i + 1);
         assert_eq!(serial, parallel);
     }
 }

@@ -1,7 +1,8 @@
 //! Static verb analysis over the experiments' posting patterns.
 //!
-//! Every experiment id maps to one or more [`VerbProgram`]s capturing the
-//! verbs the simulation posts — the strategies of Fig 3–5, the access
+//! Every experiment that posts verbs names, in its [`crate::EXPERIMENTS`]
+//! row, a builder of [`VerbProgram`]s capturing the verbs the simulation
+//! posts — the strategies of Fig 3–5, the access
 //! patterns of Fig 6/8, the application traffic of Fig 12–19. `repro
 //! --lint <ids>` runs [`verbcheck`] over them and fails on error-severity
 //! findings; guideline warnings (W2xx) are printed but pass, because
@@ -15,54 +16,16 @@ use apps::{
 };
 use remem::Strategy;
 use rnicsim::{DeviceCaps, MrId, QpNum, RKey, Sge, VerbKind, WorkRequest, WrId};
+use traffic::AppKind;
+use txn::Concurrency;
 use verbcheck::VerbProgram;
 
-/// Every experiment id the lint table covers — the mirror of
-/// [`crate::ALL_IDS`], maintained here so a new experiment id cannot be
-/// added without deciding its lint coverage (the drift test below fails
-/// otherwise).
-pub const ALL: &[&str] = &[
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "table1",
-    "fig6",
-    "fig8",
-    "table2",
-    "table3",
-    "fig10",
-    "fig12",
-    "fig13",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "extra-mr-scale",
-    "extra-qp-scale",
-    "extra-recovery",
-    "extra-reg-cost",
-    "extra-ycsb",
-    "fig6-xl",
-    "fig6-xxl",
-    "ablate-occupancy",
-    "ablate-mtt",
-    "ablate-backoff",
-    "ablate-inline",
-    "traffic-hashtable",
-    "traffic-shuffle",
-    "traffic-join",
-    "traffic-dlog",
-    "traffic-burst",
-    "traffic-series",
-    "txn-contention",
-    "txn-fairness",
-];
+use crate::{ExpSpec, Programs};
 
-/// Ids whose experiments post no verbs at all (their lint run is
-/// vacuously clean; everything else must produce at least one program).
-pub const NO_TRAFFIC: &[&str] = &["table2"];
+/// Label each program of a fixed list.
+fn labeled<const N: usize>(programs: [(&str, VerbProgram); N]) -> Programs {
+    programs.into_iter().map(|(l, p)| (l.to_string(), p)).collect()
+}
 
 /// The deterministic page scramble the repro harness's random sweeps
 /// stand in for (Weyl-style multiplicative hash; no RNG in static code).
@@ -87,7 +50,7 @@ fn write(id: u64, src: Sge, remote_off: u64) -> WorkRequest {
 
 /// Fig 1: warm latency + windowed throughput of one verb — an in-bounds
 /// write and read per payload extreme, each polled.
-fn fig1_program() -> VerbProgram {
+pub(crate) fn fig1() -> Programs {
     let mut p = two_machines(1 << 20, 1 << 20);
     let mut id = 0;
     for payload in [8u64, 8192] {
@@ -98,7 +61,7 @@ fn fig1_program() -> VerbProgram {
         p.poll(QpNum(0), 1);
         id += 1;
     }
-    p
+    labeled([("write-read", p)])
 }
 
 /// One `batched_write` cycle of a vector-IO strategy (Fig 3/4, Table I):
@@ -144,7 +107,8 @@ fn strategy_program(strategy: Strategy, batch: usize, payload: u64) -> VerbProgr
     p
 }
 
-fn strategy_programs(batch: usize, payload: u64) -> Vec<(String, VerbProgram)> {
+/// Fig 3/4, Table I: one `batched_write` cycle per strategy.
+pub(crate) fn strategies(batch: usize, payload: u64) -> Programs {
     Strategy::ALL
         .iter()
         .map(|s| {
@@ -158,7 +122,7 @@ fn strategy_programs(batch: usize, payload: u64) -> Vec<(String, VerbProgram)> {
 
 /// Fig 5: two threads sharing the NIC — one QP each, SP flushes into
 /// disjoint 64 KB slabs of the shared destination (no W101: no overlap).
-fn fig5_program() -> VerbProgram {
+pub(crate) fn fig5() -> Programs {
     let mut p = VerbProgram::new();
     p.mr(1, MrId(0), 1, 1 << 22);
     for th in 0..2u64 {
@@ -167,7 +131,7 @@ fn fig5_program() -> VerbProgram {
         p.post(QpNum(th as u32), write(th, Sge::new(MrId(th as u32), 0, 128), th * (1 << 16)));
         p.poll(QpNum(th as u32), 1);
     }
-    p
+    labeled([("two-threads", p)])
 }
 
 /// Fig 6: page-sized writes over a 2 GB region — sequentially, or at
@@ -281,7 +245,7 @@ fn atomics_program() -> VerbProgram {
 
 /// extra-qp-scale: four RC clients writing disjoint slots of one server
 /// region, plus a UD client using two-sided sends (no remote memory).
-fn qp_scale_program() -> VerbProgram {
+pub(crate) fn qp_scale() -> Programs {
     let mut p = VerbProgram::new();
     p.mr(7, MrId(0), 1, 1 << 20);
     for cl in 0..4u64 {
@@ -303,14 +267,14 @@ fn qp_scale_program() -> VerbProgram {
         },
     );
     p.poll(QpNum(4), 1);
-    p
+    labeled([("rc-and-ud", p)])
 }
 
 /// extra-mr-scale: ten 4 MB regions written round-robin. Each region
 /// individually fits the MTT cache, so the per-MR lint stays quiet even
 /// though the *combined* footprint is what the experiment measures —
 /// a scope limit recorded in DESIGN.md.
-fn mr_scale_program() -> VerbProgram {
+pub(crate) fn mr_scale() -> Programs {
     let per_mr = 4u64 << 20;
     let mut p = VerbProgram::new();
     p.mr(0, MrId(0), 1, 4096);
@@ -324,21 +288,21 @@ fn mr_scale_program() -> VerbProgram {
         p.post(QpNum(0), WorkRequest::write(i, Sge::new(MrId(0), 0, 32), RKey(mr as u64), off));
         p.poll(QpNum(0), 1);
     }
-    p
+    labeled([("round-robin", p)])
 }
 
 /// extra-reg-cost: a pooled 4 KB write, then the register-on-IO-path
 /// pattern (fresh MR, one write, deregister). Registration itself is a
 /// control-path cost the event list doesn't carry; both transfers are
 /// clean verbs.
-fn reg_cost_program() -> VerbProgram {
+pub(crate) fn reg_cost() -> Programs {
     let mut p = two_machines(4096, 1 << 20);
     p.mr(0, MrId(1), 1, 4096); // the on-path registration
     p.post(QpNum(0), write(0, Sge::new(MrId(0), 0, 4096), 0));
     p.poll(QpNum(0), 1);
     p.post(QpNum(0), write(1, Sge::new(MrId(1), 0, 4096), 4096));
     p.poll(QpNum(0), 1);
-    p
+    labeled([("pooled-vs-onpath", p)])
 }
 
 /// extra-recovery: replaying the distributed log — sequential batch
@@ -359,7 +323,7 @@ fn recovery_replay_program() -> VerbProgram {
 /// ablate-occupancy / ablate-mtt: the random 32 B write sweep those
 /// ablations re-measure under perturbed penalties — draws W202 by
 /// construction (that thrash is the mechanism being ablated).
-fn rand_write_program() -> VerbProgram {
+pub(crate) fn rand_write() -> Programs {
     let region = 2u64 << 30;
     let mut p = two_machines(4096, region);
     for i in 0..16u64 {
@@ -367,161 +331,145 @@ fn rand_write_program() -> VerbProgram {
         p.post(QpNum(0), write(i, Sge::new(MrId(0), 0, 32), off));
         p.poll(QpNum(0), 1);
     }
-    p
+    labeled([("rand-write", p)])
 }
 
 /// ablate-inline: repeated small writes to one slot (absorbed in place;
 /// kept under θ so the consolidation lint stays quiet).
-fn inline_program() -> VerbProgram {
+pub(crate) fn inline() -> Programs {
     let mut p = two_machines(4096, 1 << 20);
     for i in 0..4u64 {
         p.post(QpNum(0), write(i, Sge::new(MrId(0), 0, 32), 0));
         p.poll(QpNum(0), 1);
     }
-    p
+    labeled([("small-write", p)])
 }
 
-/// The verb programs behind one experiment id, labeled. Empty for
-/// experiments with no verb traffic (Table II is local memory only).
-/// Panics on unknown ids, like [`crate::run_experiment`].
-pub fn programs_for(id: &str) -> Vec<(String, VerbProgram)> {
-    let named = |label: &str, p: VerbProgram| (format!("{id}/{label}"), p);
-    match id {
-        "fig1" => vec![named("write-read", fig1_program())],
-        "fig3" => {
-            strategy_programs(16, 32).into_iter().map(|(l, p)| (format!("{id}/{l}"), p)).collect()
-        }
-        "fig4" => {
-            strategy_programs(32, 32).into_iter().map(|(l, p)| (format!("{id}/{l}"), p)).collect()
-        }
-        "fig5" => vec![named("two-threads", fig5_program())],
-        "table1" => {
-            strategy_programs(32, 32).into_iter().map(|(l, p)| (format!("{id}/{l}"), p)).collect()
-        }
-        "fig6" => vec![named("seq", fig6_program(true)), named("rand", fig6_program(false))],
-        // fig6-xl and fig6-xxl replicate the fig6 posting pattern across
-        // many machine pairs (fig6-xxl additionally fans each pair out
-        // over many QPs); per-pair verb programs are identical, so lint
-        // the pattern once.
-        "fig6-xl" | "fig6-xxl" => {
-            vec![named("seq", fig6_program(true)), named("rand", fig6_program(false))]
-        }
-        "fig8" => vec![
-            named("native", fig8_native_program()),
-            named("consolidated-theta16", fig8_consolidated_program()),
-        ],
-        "table2" => Vec::new(), // local inter-socket memory: no verbs
-        "table3" => vec![
-            named("best-placement", table3_program(true)),
-            named("worst-placement", table3_program(false)),
-        ],
-        "fig10" | "ablate-backoff" => vec![named("spinlock-sequencer", atomics_program())],
-        "fig12" | "fig13" => [
+/// Fig 6 and the fleet sweeps: the sequential and random page sweeps.
+pub(crate) fn fig6() -> Programs {
+    labeled([("seq", fig6_program(true)), ("rand", fig6_program(false))])
+}
+
+/// Fig 8: native and consolidated traffic.
+pub(crate) fn fig8() -> Programs {
+    labeled([
+        ("native", fig8_native_program()),
+        ("consolidated-theta16", fig8_consolidated_program()),
+    ])
+}
+
+/// Table III: the best and worst NUMA placement cells.
+pub(crate) fn table3() -> Programs {
+    labeled([("best-placement", table3_program(true)), ("worst-placement", table3_program(false))])
+}
+
+/// Fig 10 / ablate-backoff: the spinlock and sequencer clients.
+pub(crate) fn atomics() -> Programs {
+    labeled([("spinlock-sequencer", atomics_program())])
+}
+
+/// Fig 12/13: the hashtable's basic, NUMA and reordered variants.
+pub(crate) fn hashtable() -> Programs {
+    labeled(
+        [
             ("basic", HtVariant::Basic),
             ("numa", HtVariant::Numa),
             ("reorder16", HtVariant::Reorder { theta: 16 }),
         ]
-        .into_iter()
         .map(|(l, variant)| {
-            named(l, hashtable::verb_program(&HtConfig { variant, ..Default::default() }))
-        })
-        .collect(),
-        "extra-ycsb" => {
-            [("numa", HtVariant::Numa), ("reorder16", HtVariant::Reorder { theta: 16 })]
-                .into_iter()
-                .map(|(l, variant)| {
-                    named(
-                        l,
-                        hashtable::verb_program(&HtConfig {
-                            variant,
-                            write_fraction: 0.5,
-                            ..Default::default()
-                        }),
-                    )
-                })
-                .collect()
-        }
-        "fig15" => [
+            (l, hashtable::verb_program(&HtConfig { variant, ..Default::default() }))
+        }),
+    )
+}
+
+/// extra-ycsb: the hashtable at a 50 % write mix.
+pub(crate) fn ycsb() -> Programs {
+    labeled([("numa", HtVariant::Numa), ("reorder16", HtVariant::Reorder { theta: 16 })].map(
+        |(l, variant)| {
+            let cfg = HtConfig { variant, write_fraction: 0.5, ..Default::default() };
+            (l, hashtable::verb_program(&cfg))
+        },
+    ))
+}
+
+/// Fig 15: the shuffle's basic, SGL and SP variants.
+pub(crate) fn shuffle() -> Programs {
+    labeled(
+        [
             ("basic", ShuffleVariant::Basic),
             ("sgl16", ShuffleVariant::Sgl(16)),
             ("sp16", ShuffleVariant::Sp(16)),
         ]
-        .into_iter()
         .map(|(l, variant)| {
-            named(l, shuffle::verb_program(&ShuffleConfig { variant, ..Default::default() }))
-        })
-        .collect(),
-        "fig16" | "fig17" | "fig18" => [("sgl", Strategy::Sgl), ("sp", Strategy::Sp)]
-            .into_iter()
-            .map(|(l, strategy)| {
-                named(l, join::verb_program(&JoinConfig { strategy, ..Default::default() }))
-            })
-            .collect(),
-        "fig19" => [1usize, 32]
-            .into_iter()
-            .map(|batch| {
-                named(
-                    &format!("batch{batch}"),
-                    dlog::verb_program(&DlogConfig { batch, ..Default::default() }),
-                )
-            })
-            .collect(),
-        "extra-mr-scale" => vec![named("round-robin", mr_scale_program())],
-        "extra-qp-scale" => vec![named("rc-and-ud", qp_scale_program())],
-        "extra-recovery" => vec![
-            named("append", dlog::verb_program(&DlogConfig { batch: 1, ..Default::default() })),
-            named("replay", recovery_replay_program()),
-        ],
-        "extra-reg-cost" => vec![named("pooled-vs-onpath", reg_cost_program())],
-        "ablate-occupancy" | "ablate-mtt" => vec![named("rand-write", rand_write_program())],
-        "ablate-inline" => vec![named("small-write", inline_program())],
-        // The open-loop traffic experiments reuse the traffic crate's own
-        // verb programs, so static analysis sees exactly what the drivers
-        // post (per-variant posting shapes, sockets, and batch flushes).
-        "traffic-hashtable" | "traffic-shuffle" | "traffic-join" | "traffic-dlog" => {
-            let app = crate::openloop::app_of(id);
-            vec![
-                named("basic", traffic::verb_program(app, false)),
-                named("optimized", traffic::verb_program(app, true)),
-            ]
-        }
-        // Burstiness changes *when* verbs are posted, never *which*: the
-        // burst knee table and the windowed series post exactly the app
-        // drivers' shapes, so they lint the same programs.
-        "traffic-burst" => traffic::AppKind::all()
-            .into_iter()
-            .flat_map(|app| {
-                [("basic", false), ("optimized", true)].into_iter().map(move |(l, optimized)| {
-                    (format!("{id}/{}-{l}", app.name()), traffic::verb_program(app, optimized))
-                })
-            })
-            .collect(),
-        "traffic-series" => vec![
-            named("basic", traffic::verb_program(traffic::AppKind::Hashtable, false)),
-            named("optimized", traffic::verb_program(traffic::AppKind::Hashtable, true)),
-        ],
-        // The txn experiments post the transactional protocol's verb
-        // sequences (read/CAS-lock/validate/write/commit-unlock over the
-        // record layout) — the builders mirror the service's geometry.
-        "txn-contention" => vec![
-            named(
-                "optimistic",
-                txn::verb_program(txn::TxnProfile::Hashtable, txn::Concurrency::Optimistic),
-            ),
-            named(
-                "locked",
-                txn::verb_program(txn::TxnProfile::Hashtable, txn::Concurrency::Locked),
-            ),
-        ],
-        "txn-fairness" => vec![named(
-            "optimistic",
-            txn::verb_program(txn::TxnProfile::Hashtable, txn::Concurrency::Optimistic),
-        )],
-        other => panic!("unknown experiment id {other:?}; known: {:?}", crate::ALL_IDS),
-    }
+            (l, shuffle::verb_program(&ShuffleConfig { variant, ..Default::default() }))
+        }),
+    )
 }
 
-/// Outcome of linting a set of experiment ids.
+/// Fig 16–18: the join under SGL and SP.
+pub(crate) fn join() -> Programs {
+    labeled([("sgl", Strategy::Sgl), ("sp", Strategy::Sp)].map(|(l, strategy)| {
+        (l, join::verb_program(&JoinConfig { strategy, ..Default::default() }))
+    }))
+}
+
+/// Fig 19: the distributed log at batch 1 and 32.
+pub(crate) fn dlog() -> Programs {
+    [1usize, 32]
+        .into_iter()
+        .map(|batch| {
+            let cfg = DlogConfig { batch, ..Default::default() };
+            (format!("batch{batch}"), dlog::verb_program(&cfg))
+        })
+        .collect()
+}
+
+/// extra-recovery: log appends, then the replay reads.
+pub(crate) fn recovery() -> Programs {
+    labeled([
+        ("append", dlog::verb_program(&DlogConfig { batch: 1, ..Default::default() })),
+        ("replay", recovery_replay_program()),
+    ])
+}
+
+/// One open-loop app, both variants. The traffic crate's own programs,
+/// so static analysis sees the drivers' per-variant posting shapes,
+/// sockets and batch flushes.
+pub(crate) fn traffic(app: AppKind) -> Programs {
+    labeled([
+        ("basic", traffic::verb_program(app, false)),
+        ("optimized", traffic::verb_program(app, true)),
+    ])
+}
+
+/// Every open-loop app, both variants.
+pub(crate) fn traffic_all() -> Programs {
+    AppKind::all()
+        .into_iter()
+        .flat_map(|app| {
+            traffic(app).into_iter().map(move |(l, p)| (format!("{}-{l}", app.name()), p))
+        })
+        .collect()
+}
+
+/// The transactional protocol's verb sequences (read, CAS lock,
+/// validate, write, commit-unlock over the record layout) for the
+/// hashtable profile, one program per mode.
+pub(crate) fn txn(modes: &[Concurrency]) -> Programs {
+    modes
+        .iter()
+        .map(|&m| (m.name().to_string(), txn::verb_program(txn::TxnProfile::Hashtable, m)))
+        .collect()
+}
+
+/// The verb programs of one experiment, each labelled `<id>/<label>`.
+/// Empty for experiments with no verb traffic.
+pub fn programs_of(spec: &ExpSpec) -> Vec<(String, VerbProgram)> {
+    let programs = spec.programs.map_or_else(Vec::new, |build| build());
+    programs.into_iter().map(|(l, p)| (format!("{}/{l}", spec.id), p)).collect()
+}
+
+/// Outcome of linting a set of experiments.
 pub struct LintReport {
     /// Programs analyzed.
     pub programs: usize,
@@ -531,12 +479,6 @@ pub struct LintReport {
     pub errors: usize,
     /// Rendered diagnostics plus the per-id status lines.
     pub rendered: String,
-}
-
-/// Analyze every program of every id against the default device
-/// capabilities (the geometry the testbed simulates).
-pub fn lint_ids(ids: &[String]) -> LintReport {
-    lint_ids_with_caps(ids, &DeviceCaps::default())
 }
 
 /// Parse a device-capability file: `key = value` lines, `#` comments.
@@ -575,16 +517,16 @@ pub fn parse_caps_file(text: &str) -> Result<DeviceCaps, String> {
     Ok(caps)
 }
 
-/// Analyze every program of every id against an explicit device
-/// geometry — `repro --lint --caps <profile|file>` and the profile
-/// sweep both land here.
-pub fn lint_ids_with_caps(ids: &[String], caps: &DeviceCaps) -> LintReport {
+/// Analyze every program of every experiment against a device geometry
+/// — `repro --lint`, `--caps <profile|file>` and the profile sweep all
+/// land here.
+pub fn lint(specs: &[&ExpSpec], caps: &DeviceCaps) -> LintReport {
     use std::fmt::Write as _;
     let mut report = LintReport { programs: 0, warnings: 0, errors: 0, rendered: String::new() };
-    for id in ids {
-        let programs = programs_for(id);
+    for spec in specs {
+        let programs = programs_of(spec);
         if programs.is_empty() {
-            let _ = writeln!(report.rendered, "{id}: no verb traffic");
+            let _ = writeln!(report.rendered, "{}: no verb traffic", spec.id);
             continue;
         }
         for (label, prog) in programs {
@@ -638,7 +580,7 @@ pub struct FixReport {
 /// applied fix claims result equivalence — replay both the original and
 /// the fixed program through the simulated testbed and compare memory
 /// digests byte for byte.
-pub fn fix_ids(ids: &[String]) -> FixReport {
+pub fn fix(specs: &[&ExpSpec]) -> FixReport {
     use std::fmt::Write as _;
     let caps = DeviceCaps::default();
     let opts = verbcheck::LintOptions::default();
@@ -651,10 +593,10 @@ pub fn fix_ids(ids: &[String]) -> FixReport {
         errors: 0,
         rendered: String::new(),
     };
-    for id in ids {
-        let programs = programs_for(id);
+    for spec in specs {
+        let programs = programs_of(spec);
         if programs.is_empty() {
-            let _ = writeln!(report.rendered, "{id}: no verb traffic");
+            let _ = writeln!(report.rendered, "{}: no verb traffic", spec.id);
             continue;
         }
         for (label, prog) in programs {
@@ -718,19 +660,19 @@ mod tests {
         analyze(p, &DeviceCaps::default()).iter().map(|d| d.code).collect()
     }
 
-    #[test]
-    fn every_experiment_id_has_lint_coverage() {
-        for id in crate::ALL_IDS {
-            let programs = programs_for(id);
-            assert!(!programs.is_empty() || *id == "table2", "{id} has no lint program");
-        }
+    fn all_specs() -> Vec<&'static ExpSpec> {
+        crate::EXPERIMENTS.iter().collect()
+    }
+
+    fn labels(id: &str) -> Vec<String> {
+        programs_of(crate::lookup(id).expect("registered")).into_iter().map(|(l, _)| l).collect()
     }
 
     #[test]
     fn no_experiment_program_has_errors() {
         let caps = DeviceCaps::default();
-        for id in crate::ALL_IDS {
-            for (label, prog) in programs_for(id) {
+        for spec in crate::EXPERIMENTS {
+            for (label, prog) in programs_of(spec) {
                 let diags = analyze(&prog, &caps);
                 assert!(
                     !has_errors(&diags),
@@ -763,63 +705,42 @@ mod tests {
 
     #[test]
     fn lint_report_over_all_ids_is_error_free() {
-        let ids: Vec<String> = crate::ALL_IDS.iter().map(|s| s.to_string()).collect();
-        let report = lint_ids(&ids);
+        let report = lint(&all_specs(), &DeviceCaps::default());
         assert_eq!(report.errors, 0, "{}", report.rendered);
         assert!(report.programs > 30, "expected broad coverage, got {}", report.programs);
         assert!(report.warnings > 0, "the anti-pattern demos should warn");
     }
 
     #[test]
-    fn lint_table_mirrors_all_ids_exactly() {
-        // ALL is the lint table's self-declared coverage; it must track
-        // crate::ALL_IDS one-for-one so a new experiment id cannot land
-        // without lint coverage (or an explicit NO_TRAFFIC entry).
-        let table: std::collections::BTreeSet<&str> = ALL.iter().copied().collect();
-        let ids: std::collections::BTreeSet<&str> = crate::ALL_IDS.iter().copied().collect();
-        assert_eq!(table, ids, "bench::lint::ALL drifted from crate::ALL_IDS");
-        assert_eq!(ALL.len(), crate::ALL_IDS.len(), "duplicate id in the lint table");
-        for id in NO_TRAFFIC {
-            assert!(table.contains(id), "NO_TRAFFIC id {id:?} missing from ALL");
-            assert!(programs_for(id).is_empty(), "{id} claims no traffic but has programs");
-        }
-        for id in ALL {
-            if !NO_TRAFFIC.contains(id) {
-                assert!(!programs_for(id).is_empty(), "{id} has no lint program");
+    fn every_program_builder_covers_its_variants() {
+        for spec in crate::EXPERIMENTS {
+            if spec.programs.is_some() {
+                assert!(!programs_of(spec).is_empty(), "{} has an empty program builder", spec.id);
             }
         }
-        // Open-loop traffic and txn experiments post verbs by
-        // construction, so none of them may hide in NO_TRAFFIC. The
-        // per-app traffic ids must cover both variants (the basic and
-        // optimized drivers post different shapes — single ops vs
-        // batched flushes).
-        for id in crate::openloop::TRAFFIC_IDS {
-            assert!(!NO_TRAFFIC.contains(id), "{id} posts verbs; it cannot be NO_TRAFFIC");
-            let labels: Vec<String> = programs_for(id).into_iter().map(|(l, _)| l).collect();
+        // The per-app traffic experiments must cover both variants (the
+        // basic and optimized drivers post different shapes — single ops
+        // vs batched flushes).
+        for app in AppKind::all() {
+            let id = format!("traffic-{}", app.name());
+            let labels = labels(&id);
             for variant in ["basic", "optimized"] {
                 assert!(
                     labels.contains(&format!("{id}/{variant}")),
-                    "{id} lint entry is missing the {variant} variant (has {labels:?})"
+                    "{id} lints no {variant} variant (has {labels:?})"
                 );
             }
         }
-        // The burst knee table spans every app × variant; its lint entry
+        // The burst knee table spans every app × variant; its programs
         // must too.
-        let burst: Vec<String> =
-            programs_for("traffic-burst").into_iter().map(|(l, _)| l).collect();
+        let burst = labels("traffic-burst");
         assert_eq!(burst.len(), 8, "burst knees cover 4 apps x 2 variants (has {burst:?})");
-        // The txn ids must lint the transactional protocol's programs,
-        // and the contention experiment both concurrency modes.
-        for id in crate::txnbench::TXN_IDS {
-            assert!(!NO_TRAFFIC.contains(id), "{id} posts verbs; it cannot be NO_TRAFFIC");
-            assert!(!programs_for(id).is_empty(), "{id} has no lint program");
-        }
-        let contention: Vec<String> =
-            programs_for("txn-contention").into_iter().map(|(l, _)| l).collect();
+        // The contention experiment runs both concurrency modes.
+        let contention = labels("txn-contention");
         for mode in ["optimistic", "locked"] {
             assert!(
                 contention.contains(&format!("txn-contention/{mode}")),
-                "txn-contention lint entry is missing the {mode} mode (has {contention:?})"
+                "txn-contention lints no {mode} mode (has {contention:?})"
             );
         }
     }
@@ -867,17 +788,15 @@ mod tests {
         // Profiles dominate the calibrated baseline, so a program that
         // lints error-free on the default geometry stays error-free on
         // every profile — the property that makes `--caps sweep` a gate.
-        let ids: Vec<String> = crate::ALL_IDS.iter().map(|s| s.to_string()).collect();
         for (name, caps) in rnicsim::PROFILES {
-            let report = lint_ids_with_caps(&ids, caps);
+            let report = lint(&all_specs(), caps);
             assert_eq!(report.errors, 0, "profile {name}: {}", report.rendered);
         }
     }
 
     #[test]
     fn fix_report_reaches_zero_w2xx_over_all_ids() {
-        let ids: Vec<String> = crate::ALL_IDS.iter().map(|s| s.to_string()).collect();
-        let report = fix_ids(&ids);
+        let report = fix(&all_specs());
         assert_eq!(report.errors, 0, "{}", report.rendered);
         assert_eq!(report.remaining_w2xx, 0, "{}", report.rendered);
         assert!(report.fixed > 0, "the anti-pattern demos should receive fixes");

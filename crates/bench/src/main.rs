@@ -33,7 +33,7 @@
 //! With `--out`, every series experiment also gets a gnuplot script:
 //! `cd results && gnuplot *.gp` renders the figures to SVG.
 
-use bench::{par_map, run_experiment, set_parallelism, Experiment, Scale, ALL_IDS, MICRO_IDS};
+use bench::{lookup, par_map, ExpSpec, Experiment, RunCtx, Scale, Tag, EXPERIMENTS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +82,7 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 /// One experiment group's outcome: what to print/save plus how much work
 /// the simulation did (for the machine-readable timing report).
 struct GroupRun {
-    id: String,
+    id: &'static str,
     experiments: Vec<Experiment>,
     wall_ms: f64,
     sim_ops: u64,
@@ -93,14 +93,19 @@ struct GroupRun {
     peak_alloc_bytes: u64,
 }
 
-fn run_group(id: String, scale: Scale) -> GroupRun {
+fn run_group(spec: &ExpSpec, ctx: &RunCtx) -> GroupRun {
     let ops_before = simcore::opcount::current();
     let start = Instant::now();
-    let experiments = run_experiment(&id, scale);
+    let experiments = (spec.run)(ctx);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let sim_ops = simcore::opcount::current() - ops_before;
     let peak_alloc_bytes = HEAP_PEAK.load(Ordering::Relaxed);
-    GroupRun { id, experiments, wall_ms, sim_ops, peak_alloc_bytes }
+    GroupRun { id: spec.id, experiments, wall_ms, sim_ops, peak_alloc_bytes }
+}
+
+/// Run `specs` on `ctx.jobs` workers; results come back in the order given.
+fn run_groups(specs: &[&ExpSpec], ctx: &RunCtx) -> Vec<GroupRun> {
+    par_map(ctx, specs.to_vec(), |spec| run_group(spec, ctx))
 }
 
 /// Render every experiment of a run list to one string (the unit of the
@@ -152,56 +157,52 @@ fn bench_json(runs: &[GroupRun], total_wall_ms: f64, jobs: usize, shards: usize)
     s
 }
 
-/// Print the first diverging line pair and exit non-zero.
-fn determinism_failed(kind: &str, a: &str, b: &str) -> ! {
-    eprintln!("determinism check FAILED: {kind} output differs");
-    for (ls, lp) in a.lines().zip(b.lines()) {
-        if ls != lp {
-            eprintln!("  expected: {ls}");
-            eprintln!("  got     : {lp}");
-        }
-    }
-    std::process::exit(1);
+/// Exit 2 with `msg` on stderr: the command line cannot run as given.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
-/// Run a small experiment set three ways — serially, in parallel across
-/// experiments, and with the in-simulation sharded engine — and require
-/// byte-identical rendered output from all three. Exits non-zero on
-/// divergence. Leaves the worker count and shard default pinned; the
-/// caller restores what the command line asked for.
-fn check_determinism(scale: Scale) {
-    // txn-contention rides along so the transactional service (service
-    // scheduler, abort accounting, tenant telemetry) is inside the same
-    // 3-way byte-identity gate as the core engine. fig6-xxl's notes carry
-    // the fleet memory digest (placement + content of every materialized
-    // sparse page), so the gate pins the memory subsystem too: an elision
-    // or materialization decision that differs between the serial,
-    // parallel, or sharded runs diverges the rendered output.
-    let ids = ["table1", "table2", "fig8", "fig6-xxl", "txn-contention"];
-    set_parallelism(Some(1));
-    cluster::set_shards_default(Some(1));
-    let serial: Vec<GroupRun> = ids.iter().map(|id| run_group(id.to_string(), scale)).collect();
-    set_parallelism(None);
-    let parallel =
-        par_map(ids.iter().map(|id| id.to_string()).collect(), |id| run_group(id, scale));
-    let (a, b) = (render_all(&serial), render_all(&parallel));
-    if a != b {
-        determinism_failed("serial vs parallel", &a, &b);
-    }
-    // Third leg: the threaded component fan-out. fig8 runs six machine
-    // pairs on two shards; each shard's thread must reproduce the serial
-    // results exactly.
-    set_parallelism(Some(1));
-    cluster::set_shards_default(Some(2));
-    let sharded: Vec<GroupRun> = ids.iter().map(|id| run_group(id.to_string(), scale)).collect();
-    let c = render_all(&sharded);
-    if a != c {
-        determinism_failed("serial vs sharded (--shards 2)", &a, &c);
+/// The registered experiment `id`, or exit 2 listing the known ids.
+fn spec(id: &str) -> &'static ExpSpec {
+    lookup(id).unwrap_or_else(|| {
+        usage_error(format!("unknown experiment id {id:?}; known: {:?}", bench::ids()))
+    })
+}
+
+/// The machine's available parallelism.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Render a run's output under three run contexts — one worker on one
+/// shard, several workers (at least two, so the leg is threaded even on
+/// a one-core host), and one worker on two shards — and require the
+/// same bytes from all three. Prints the first diverging lines and exits
+/// 1 on a mismatch.
+fn check_determinism(what: &str, scale: Scale, render: impl Fn(&RunCtx) -> String) {
+    let serial = RunCtx { scale, ..RunCtx::SERIAL };
+    let parallel = RunCtx { jobs: cores().max(2), ..serial };
+    let legs = [("parallel", parallel), ("sharded (--shards 2)", RunCtx { shards: 2, ..serial })];
+    let reference = render(&serial);
+    for (leg, ctx) in &legs {
+        let got = render(ctx);
+        if got != reference {
+            eprintln!("determinism check FAILED: {what} output differs, serial vs {leg}");
+            for (ls, lp) in reference.lines().zip(got.lines()) {
+                if ls != lp {
+                    eprintln!("  expected: {ls}");
+                    eprintln!("  got     : {lp}");
+                }
+            }
+            std::process::exit(1);
+        }
     }
     println!(
-        "determinism check passed: serial, parallel, and sharded (--shards 2) output identical \
-         ({} bytes)",
-        a.len()
+        "{what} determinism check passed: serial, parallel ({} jobs), and sharded (--shards 2) \
+         output identical ({} bytes)",
+        parallel.jobs,
+        reference.len()
     );
 }
 
@@ -266,113 +267,83 @@ fn parse_modes(spec: &str) -> Option<Vec<txn::Concurrency>> {
     }
 }
 
-/// The traffic engine's own three-way byte-identity gate: the rendered
-/// sweep table (quantiles *and* histogram digests) must be identical
-/// serially, in parallel across points, and on the sharded engine
-/// (`shards = 2`). Exits non-zero on divergence.
-fn check_traffic_determinism(apps: &[traffic::AppKind], loads: &[f64], scale: Scale) {
-    use bench::openloop::sweep_table;
-    set_parallelism(Some(1));
-    let serial = sweep_table(apps, loads, scale, 1);
-    set_parallelism(None);
-    let parallel = sweep_table(apps, loads, scale, 1);
-    if serial != parallel {
-        determinism_failed("traffic serial vs parallel", &serial, &parallel);
-    }
-    set_parallelism(Some(1));
-    let sharded = sweep_table(apps, loads, scale, 2);
-    if serial != sharded {
-        determinism_failed("traffic serial vs sharded (shards=2)", &serial, &sharded);
-    }
-    println!(
-        "traffic determinism check passed: serial, parallel, and sharded (shards=2) sweep \
-         tables identical ({} bytes)",
-        serial.len()
-    );
+/// What a sweep mode drives: the open-loop app engine (`--traffic`) or
+/// the transactional service (`--txn`, per profile × mode).
+enum Sweep {
+    Traffic(Vec<traffic::AppKind>),
+    Txn(Vec<txn::TxnProfile>, Vec<txn::Concurrency>),
 }
 
-/// The txn service's own three-way byte-identity gate: the rendered txn
-/// sweep table (quantiles, abort accounting, *and* digests) must be
-/// identical serially, in parallel across points, and on the sharded
-/// engine (`shards = 2`). Exits non-zero on divergence.
-fn check_txn_determinism(
-    profiles: &[txn::TxnProfile],
-    modes: &[txn::Concurrency],
-    loads: &[f64],
-    scale: Scale,
-) {
-    use bench::txnbench::txn_sweep_table;
-    set_parallelism(Some(1));
-    let serial = txn_sweep_table(profiles, modes, loads, scale, 1);
-    set_parallelism(None);
-    let parallel = txn_sweep_table(profiles, modes, loads, scale, 1);
-    if serial != parallel {
-        determinism_failed("txn serial vs parallel", &serial, &parallel);
+impl Sweep {
+    fn name(&self) -> &'static str {
+        match self {
+            Sweep::Traffic(_) => "traffic",
+            Sweep::Txn(..) => "txn",
+        }
     }
-    set_parallelism(Some(1));
-    let sharded = txn_sweep_table(profiles, modes, loads, scale, 2);
-    if serial != sharded {
-        determinism_failed("txn serial vs sharded (shards=2)", &serial, &sharded);
+
+    /// The sweep table over fixed offered loads: quantiles and digests,
+    /// so it is also the unit of the mode's determinism gate.
+    fn table(&self, loads: &[f64], ctx: &RunCtx) -> String {
+        match self {
+            Sweep::Traffic(apps) => bench::openloop::sweep_table(apps, loads, ctx),
+            Sweep::Txn(profiles, modes) => {
+                bench::txnbench::txn_sweep_table(profiles, modes, loads, ctx)
+            }
+        }
     }
-    println!(
-        "txn determinism check passed: serial, parallel, and sharded (shards=2) sweep tables \
-         identical ({} bytes)",
-        serial.len()
-    );
+
+    fn knee_rows(&self, ctx: &RunCtx, slo_us: Option<f64>) -> Vec<bench::openloop::KneeRow> {
+        match self {
+            Sweep::Traffic(apps) => bench::openloop::knee_rows(apps, ctx, slo_us),
+            Sweep::Txn(profiles, modes) => {
+                bench::txnbench::txn_knee_rows(profiles, modes, ctx, slo_us)
+            }
+        }
+    }
+
+    /// The default grid of the mode's determinism gate.
+    fn check_loads(&self) -> Vec<f64> {
+        match self {
+            Sweep::Traffic(_) => vec![0.25, 1.0],
+            Sweep::Txn(..) => vec![0.05],
+        }
+    }
 }
 
-/// `repro --txn`: txn-service knee tables (optionally written in the
-/// bench-apps schema) or fixed offered-load sweeps.
-fn run_txn_mode(
-    profiles: &[txn::TxnProfile],
-    modes: &[txn::Concurrency],
-    load: &LoadSpec,
+/// `repro --traffic` / `repro --txn`: knee tables (optionally written in
+/// the `bench-apps` schema), fixed offered-load sweeps, or the mode's
+/// three-way determinism gate.
+fn run_sweep(
+    sweep: &Sweep,
+    load: LoadSpec,
     slo_us: Option<f64>,
     apps_json_path: Option<&PathBuf>,
-    scale: Scale,
+    check: bool,
+    ctx: &RunCtx,
 ) {
+    if check {
+        // A knee search probes load adaptively, so byte-identity is
+        // checked on a fixed grid: the one given, or a small default.
+        let loads = match load {
+            LoadSpec::Loads(loads) => loads,
+            LoadSpec::Knee => sweep.check_loads(),
+        };
+        check_determinism(sweep.name(), ctx.scale, |c| sweep.table(&loads, c));
+        return;
+    }
     match load {
         LoadSpec::Loads(loads) => {
             if apps_json_path.is_some() {
-                eprintln!("--apps-json records knee points; use it with --load knee");
-                std::process::exit(2);
+                usage_error("--apps-json records knee points; use it with --load knee");
             }
-            print!("{}", bench::txnbench::txn_sweep_table(profiles, modes, loads, scale, 1));
+            print!("{}", sweep.table(&loads, ctx));
         }
         LoadSpec::Knee => {
-            let rows = bench::txnbench::txn_knee_rows(profiles, modes, scale, slo_us);
+            let rows = sweep.knee_rows(ctx, slo_us);
             print!("{}", bench::openloop::knee_table(&rows));
             if let Some(path) = apps_json_path {
-                std::fs::write(path, bench::openloop::apps_json(&rows, scale))
-                    .expect("write apps json");
-                eprintln!("[wrote {}]", path.display());
-            }
-        }
-    }
-}
-
-/// `repro --traffic`: knee tables (optionally written as
-/// `BENCH_apps.json`) or fixed offered-load sweeps.
-fn run_traffic_mode(
-    apps: &[traffic::AppKind],
-    load: &LoadSpec,
-    slo_us: Option<f64>,
-    apps_json_path: Option<&PathBuf>,
-    scale: Scale,
-) {
-    match load {
-        LoadSpec::Loads(loads) => {
-            if apps_json_path.is_some() {
-                eprintln!("--apps-json records knee points; use it with --load knee");
-                std::process::exit(2);
-            }
-            print!("{}", bench::openloop::sweep_table(apps, loads, scale, 1));
-        }
-        LoadSpec::Knee => {
-            let rows = bench::openloop::knee_rows(apps, scale, slo_us);
-            print!("{}", bench::openloop::knee_table(&rows));
-            if let Some(path) = apps_json_path {
-                std::fs::write(path, bench::openloop::apps_json(&rows, scale))
+                std::fs::write(path, bench::openloop::apps_json(&rows, ctx.scale))
                     .expect("write apps json");
                 eprintln!("[wrote {}]", path.display());
             }
@@ -421,17 +392,15 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
 /// are flagged as warnings (timing is hardware-dependent and the peak is
 /// a process-wide high-water mark, so they don't fail the run). Peaks
 /// are only compared when the baseline recorded them (bench-engine-v3+).
-fn bench_compare(path: &PathBuf, scale: Scale) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {}: {e}", path.display());
-        std::process::exit(2);
-    });
+fn bench_compare(path: &PathBuf, ctx: &RunCtx) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(format!("cannot read baseline {}: {e}", path.display())));
     let baseline = parse_baseline(&text);
     if baseline.is_empty() {
-        eprintln!("no experiment rows found in {}", path.display());
-        std::process::exit(2);
+        usage_error(format!("no experiment rows found in {}", path.display()));
     }
-    let runs = par_map(baseline.iter().map(|r| r.id.clone()).collect(), |id| run_group(id, scale));
+    let specs: Vec<&ExpSpec> = baseline.iter().map(|r| spec(&r.id)).collect();
+    let runs = run_groups(&specs, ctx);
     let mut drift = 0usize;
     let mut slower = 0usize;
     for (base, fresh) in baseline.iter().zip(&runs) {
@@ -495,13 +464,12 @@ fn bench_compare(path: &PathBuf, scale: Scale) {
 /// too (the fixpoint gate). `--caps` switches the device geometry: a
 /// built-in profile name, a `key = value` file, or `sweep` to lint every
 /// profile in turn.
-fn run_lint(ids: &[String], do_fix: bool, caps_spec: Option<&str>) {
+fn run_lint(specs: &[&ExpSpec], do_fix: bool, caps_spec: Option<&str>) {
     if do_fix && caps_spec.is_some() {
-        eprintln!("--fix works against the calibrated default geometry; drop --caps");
-        std::process::exit(2);
+        usage_error("--fix works against the calibrated default geometry; drop --caps");
     }
     if do_fix {
-        let report = bench::lint::fix_ids(ids);
+        let report = bench::lint::fix(specs);
         print!("{}", report.rendered);
         println!(
             "fix: {} program(s), {} fixed ({} fix(es) applied), {} equivalence-checked, \
@@ -529,16 +497,13 @@ fn run_lint(ids: &[String], do_fix: bool, caps_spec: Option<&str>) {
                 Some(c) => c,
                 None => {
                     let text = std::fs::read_to_string(spec).unwrap_or_else(|e| {
-                        eprintln!(
+                        usage_error(format!(
                             "--caps {spec:?} is neither a profile ({:?}) nor a readable file: {e}",
                             rnicsim::PROFILES.iter().map(|(n, _)| *n).collect::<Vec<_>>()
-                        );
-                        std::process::exit(2);
+                        ))
                     });
-                    bench::lint::parse_caps_file(&text).unwrap_or_else(|e| {
-                        eprintln!("--caps {spec}: {e}");
-                        std::process::exit(2);
-                    })
+                    bench::lint::parse_caps_file(&text)
+                        .unwrap_or_else(|e| usage_error(format!("--caps {spec}: {e}")))
                 }
             };
             vec![(spec.to_string(), caps)]
@@ -546,7 +511,7 @@ fn run_lint(ids: &[String], do_fix: bool, caps_spec: Option<&str>) {
     };
     let mut failed = false;
     for (label, caps) in &geometries {
-        let report = bench::lint::lint_ids_with_caps(ids, caps);
+        let report = bench::lint::lint(specs, caps);
         print!("{}", report.rendered);
         println!(
             "lint [{label}]: {} program(s), {} warning(s), {} error(s)",
@@ -559,8 +524,28 @@ fn run_lint(ids: &[String], do_fix: bool, caps_spec: Option<&str>) {
     }
 }
 
+/// The value after `flag`, parsed by `parse`; exits 2 saying what `flag`
+/// needs when the value is missing or does not parse.
+fn flag_value<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    needs: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let v = args.next();
+    v.as_deref().and_then(parse).unwrap_or_else(|| match v {
+        Some(v) => usage_error(format!("{flag} needs {needs} (got {v:?})")),
+        None => usage_error(format!("{flag} needs {needs}")),
+    })
+}
+
+/// A positive integer.
+fn positive(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&n| n > 0)
+}
+
 fn main() {
-    let mut ids: Vec<String> = Vec::new();
+    let mut specs: Vec<&'static ExpSpec> = Vec::new();
     let mut scale = Scale { paper: false };
     let mut out_dir: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
@@ -569,10 +554,9 @@ fn main() {
     let mut do_fix = false;
     let mut caps_spec: Option<String> = None;
     let mut compare_path: Option<PathBuf> = None;
-    // `None` = default worker count, `Some(n)` = `--serial` / `--jobs n`.
-    let mut jobs_req: Option<usize> = None;
-    // `Some(None)` = explicit auto, `Some(Some(n))` = fixed shard count.
-    let mut shards_req: Option<Option<usize>> = None;
+    // `None` = auto: every core for jobs, cores capped at 8 for shards.
+    let mut jobs: Option<usize> = None;
+    let mut shards: Option<usize> = None;
     let mut traffic_apps: Option<Vec<traffic::AppKind>> = None;
     let mut txn_profiles: Option<Vec<txn::TxnProfile>> = None;
     let mut txn_modes: Vec<txn::Concurrency> =
@@ -580,119 +564,59 @@ fn main() {
     let mut load_spec: Option<LoadSpec> = None;
     let mut slo_us: Option<f64> = None;
     let mut apps_json_path: Option<PathBuf> = None;
+    let path = |v: &str| Some(PathBuf::from(v));
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let args = &mut args;
         match a.as_str() {
             "--traffic" => {
-                let spec = args.next().unwrap_or_default();
-                traffic_apps = Some(parse_traffic_apps(&spec).unwrap_or_else(|| {
-                    eprintln!(
-                        "--traffic needs an app name ({:?}) or 'all'",
-                        traffic::AppKind::all().map(|a| a.name())
-                    );
-                    std::process::exit(2);
-                }));
+                let needs = format!(
+                    "an app name ({:?}) or 'all'",
+                    traffic::AppKind::all().map(|a| a.name())
+                );
+                traffic_apps = Some(flag_value(args, &a, &needs, parse_traffic_apps));
             }
             "--txn" => {
-                let spec = args.next().unwrap_or_default();
-                txn_profiles = Some(parse_txn_profiles(&spec).unwrap_or_else(|| {
-                    eprintln!(
-                        "--txn needs a profile name ({:?}) or 'all'",
-                        txn::TxnProfile::all().map(|p| p.name())
-                    );
-                    std::process::exit(2);
-                }));
+                let needs = format!(
+                    "a profile name ({:?}) or 'all'",
+                    txn::TxnProfile::all().map(|p| p.name())
+                );
+                txn_profiles = Some(flag_value(args, &a, &needs, parse_txn_profiles));
             }
             "--mode" => {
-                let spec = args.next().unwrap_or_default();
-                txn_modes = parse_modes(&spec).unwrap_or_else(|| {
-                    eprintln!("--mode needs 'optimistic', 'locked', or 'both' (got {spec:?})");
-                    std::process::exit(2);
-                });
+                txn_modes = flag_value(args, &a, "'optimistic', 'locked', or 'both'", parse_modes)
             }
             "--load" => {
-                let spec = args.next().unwrap_or_default();
-                load_spec = Some(parse_load(&spec).unwrap_or_else(|| {
-                    eprintln!("--load needs 'knee', a MOPS value, or a:b:n (got {spec:?})");
-                    std::process::exit(2);
-                }));
+                let needs = "'knee', a MOPS value, or a:b:n";
+                load_spec = Some(flag_value(args, &a, needs, parse_load));
             }
             "--slo" => {
-                slo_us = Some(
-                    args.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|&v| v > 0.0)
-                        .unwrap_or_else(|| {
-                            eprintln!("--slo needs a positive p99 bound in microseconds");
-                            std::process::exit(2);
-                        }),
-                );
+                let needs = "a positive p99 bound in microseconds";
+                let parse = |v: &str| v.parse::<f64>().ok().filter(|&v| v > 0.0);
+                slo_us = Some(flag_value(args, &a, needs, parse));
             }
-            "--apps-json" => {
-                apps_json_path = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--apps-json needs a file path");
-                    std::process::exit(2);
-                })));
-            }
+            "--apps-json" => apps_json_path = Some(flag_value(args, &a, "a file path", path)),
             "--paper-scale" => scale.paper = true,
-            "--serial" => jobs_req = Some(1),
+            "--serial" => jobs = Some(1),
             "--shards" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--shards needs a positive integer or 'auto'");
-                    std::process::exit(2);
-                });
-                shards_req = Some(if v == "auto" {
-                    None
-                } else {
-                    match v.parse::<usize>() {
-                        Ok(n) if n > 0 => Some(n),
-                        _ => {
-                            eprintln!("--shards needs a positive integer or 'auto'");
-                            std::process::exit(2);
-                        }
-                    }
-                });
+                let parse = |v: &str| if v == "auto" { Some(None) } else { positive(v).map(Some) };
+                shards = flag_value(args, &a, "a positive integer or 'auto'", parse);
             }
-            "--jobs" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs needs a positive integer");
-                        std::process::exit(2);
-                    });
-                jobs_req = Some(n);
-            }
+            "--jobs" => jobs = Some(flag_value(args, &a, "a positive integer", positive)),
             "--check-determinism" => do_check = true,
             "--lint" => do_lint = true,
             "--fix" => do_fix = true,
             "--caps" => {
-                caps_spec = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--caps needs a profile name, a caps file path, or 'sweep'");
-                    std::process::exit(2);
-                }));
+                let needs = "a profile name, a caps file path, or 'sweep'";
+                caps_spec = Some(flag_value(args, &a, needs, |v| Some(v.to_string())));
             }
             "--bench-compare" => {
-                compare_path = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--bench-compare needs a baseline json path");
-                    std::process::exit(2);
-                })));
+                compare_path = Some(flag_value(args, &a, "a baseline json path", path))
             }
-            "--bench-json" => {
-                json_path = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--bench-json needs a file path");
-                    std::process::exit(2);
-                })));
-            }
-            "--out" => {
-                out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    std::process::exit(2);
-                })));
-            }
-            "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            "micro" => ids.extend(MICRO_IDS.iter().map(|s| s.to_string())),
+            "--bench-json" => json_path = Some(flag_value(args, &a, "a file path", path)),
+            "--out" => out_dir = Some(flag_value(args, &a, "a directory", path)),
+            "all" => specs.extend(EXPERIMENTS),
+            "micro" => specs.extend(EXPERIMENTS.iter().filter(|s| s.has(Tag::Micro))),
             "--help" | "-h" => {
                 println!(
                     "usage: repro [all | micro | <id>...] [--paper-scale] [--out DIR] \
@@ -702,7 +626,7 @@ fn main() {
                      [--traffic APP|all [--load knee|MOPS|a:b:n] [--slo US] [--apps-json PATH]] \
                      [--txn PROFILE|all [--mode optimistic|locked|both] [--load ...]]"
                 );
-                println!("ids: {ALL_IDS:?}");
+                println!("ids: {:?}", bench::ids());
                 println!(
                     "traffic apps: {:?}; --load knee (default) finds each variant's max load \
                      with p99 <= SLO, a:b:n sweeps a fixed grid",
@@ -720,98 +644,68 @@ fn main() {
                 println!("--fix applies each W2xx finding's machine fix and re-lints to fixpoint");
                 return;
             }
-            other => ids.push(other.to_string()),
+            other if other.starts_with('-') => {
+                usage_error(format!("unknown option {other:?}; see --help"))
+            }
+            id => specs.push(spec(id)),
         }
     }
-    set_parallelism(jobs_req);
-    if let Some(req) = shards_req {
-        cluster::set_shards_default(req);
-    }
-    if traffic_apps.is_none()
-        && txn_profiles.is_none()
-        && (load_spec.is_some() || slo_us.is_some() || apps_json_path.is_some())
-    {
-        eprintln!("--load/--slo/--apps-json only apply together with --traffic or --txn");
-        std::process::exit(2);
-    }
-    if traffic_apps.is_some() && txn_profiles.is_some() {
-        eprintln!("--traffic and --txn are separate modes; pick one");
-        std::process::exit(2);
-    }
-    if let Some(apps) = &traffic_apps {
-        if do_lint || do_fix || compare_path.is_some() || !ids.is_empty() {
-            eprintln!("--traffic runs the open-loop engine; drop --lint/--fix/--bench-compare/ids");
-            std::process::exit(2);
-        }
-        let load = load_spec.unwrap_or(LoadSpec::Knee);
-        if do_check {
-            // A knee search probes load adaptively, so byte-identity is
-            // checked on a fixed grid: the one given, or a small default.
-            let loads = match &load {
-                LoadSpec::Loads(l) => l.clone(),
-                LoadSpec::Knee => vec![0.25, 1.0],
-            };
-            check_traffic_determinism(apps, &loads, scale);
-            return;
-        }
-        run_traffic_mode(apps, &load, slo_us, apps_json_path.as_ref(), scale);
-        return;
-    }
-    if let Some(profiles) = &txn_profiles {
-        if do_lint || do_fix || compare_path.is_some() || !ids.is_empty() {
-            eprintln!(
-                "--txn runs the transactional service; drop --lint/--fix/--bench-compare/ids"
-            );
-            std::process::exit(2);
+    let ctx = RunCtx {
+        jobs: jobs.unwrap_or_else(cores),
+        // Shards beyond a run's component count idle, so auto stays modest.
+        shards: shards.unwrap_or_else(|| cores().min(8)),
+        scale,
+    };
+    let sweep = match (traffic_apps, txn_profiles) {
+        (Some(_), Some(_)) => usage_error("--traffic and --txn are separate modes; pick one"),
+        (Some(apps), None) => Some(Sweep::Traffic(apps)),
+        (None, Some(profiles)) => Some(Sweep::Txn(profiles, txn_modes)),
+        (None, None) => None,
+    };
+    if let Some(sweep) = &sweep {
+        if do_lint || do_fix || compare_path.is_some() || !specs.is_empty() {
+            usage_error(format!(
+                "--{} runs a load sweep; drop --lint/--fix/--bench-compare/ids",
+                sweep.name()
+            ));
         }
         let load = load_spec.unwrap_or(LoadSpec::Knee);
-        if do_check {
-            let loads = match &load {
-                LoadSpec::Loads(l) => l.clone(),
-                LoadSpec::Knee => vec![0.05],
-            };
-            check_txn_determinism(profiles, &txn_modes, &loads, scale);
-            return;
-        }
-        run_txn_mode(profiles, &txn_modes, &load, slo_us, apps_json_path.as_ref(), scale);
+        run_sweep(sweep, load, slo_us, apps_json_path.as_ref(), do_check, &ctx);
         return;
+    }
+    if load_spec.is_some() || slo_us.is_some() || apps_json_path.is_some() {
+        usage_error("--load/--slo/--apps-json only apply together with --traffic or --txn");
     }
     if do_check {
-        check_determinism(scale);
-        // The check pins the worker count and the shard default per leg;
-        // restore what the command line asked for before running anything
-        // else.
-        set_parallelism(jobs_req);
-        cluster::set_shards_default(shards_req.flatten());
-        if ids.is_empty() && compare_path.is_none() {
+        let gate: Vec<&ExpSpec> = EXPERIMENTS.iter().filter(|s| s.has(Tag::Gate)).collect();
+        check_determinism("experiment", scale, |c| render_all(&run_groups(&gate, c)));
+        if specs.is_empty() && compare_path.is_none() {
             return;
         }
     }
     if let Some(path) = &compare_path {
-        bench_compare(path, scale);
-        if ids.is_empty() {
+        bench_compare(path, &ctx);
+        if specs.is_empty() {
             return;
         }
     }
-    if ids.is_empty() {
-        eprintln!("nothing to do; try `repro all` (ids: {ALL_IDS:?})");
-        std::process::exit(2);
+    if specs.is_empty() {
+        usage_error(format!("nothing to do; try `repro all` (ids: {:?})", bench::ids()));
     }
     if do_lint {
-        run_lint(&ids, do_fix, caps_spec.as_deref());
+        run_lint(&specs, do_fix, caps_spec.as_deref());
         return;
     }
     if do_fix || caps_spec.is_some() {
-        eprintln!("--fix and --caps only apply together with --lint");
-        std::process::exit(2);
+        usage_error("--fix and --caps only apply together with --lint");
     }
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
 
     let total_start = Instant::now();
-    let jobs = bench::parallelism(ids.len());
-    let runs = par_map(ids, |id| run_group(id, scale));
+    let jobs = ctx.jobs.min(specs.len());
+    let runs = run_groups(&specs, &ctx);
     let total_wall_ms = total_start.elapsed().as_secs_f64() * 1e3;
 
     for r in &runs {
@@ -830,7 +724,7 @@ fn main() {
     }
     eprintln!("[total {:.1}ms over {jobs} worker(s)]", total_wall_ms);
     if let Some(path) = &json_path {
-        std::fs::write(path, bench_json(&runs, total_wall_ms, jobs, cluster::shards_default()))
+        std::fs::write(path, bench_json(&runs, total_wall_ms, jobs, ctx.shards))
             .expect("write bench json");
         eprintln!("[wrote {}]", path.display());
     }

@@ -2,10 +2,10 @@
 //! IO consolidation, NUMA placement (Figs 1, 3–6, 8; Tables I–III).
 
 use crate::report::{Experiment, Output};
-use crate::Scale;
+use crate::RunCtx;
 use cluster::{
-    run_clients, run_clients_sharded, shards_default, Client, ClosedLoop, ClusterConfig, ConnId,
-    Endpoint, Pinned, Step, Testbed,
+    run_clients, run_clients_sharded, Client, ClosedLoop, ClusterConfig, ConnId, Endpoint, Pinned,
+    Step, Testbed,
 };
 use memmodel::{vectored_mops, HostMemConfig, MemOp};
 use remem::{batched_write, ConsolidationBuffer, RemoteDst, Strategy};
@@ -313,7 +313,7 @@ struct PatternCell {
 /// pools, and id counters), so each cell's completion stream is
 /// byte-identical to running it alone on a two-machine testbed — the
 /// parallelism changes wall-clock only.
-fn pattern_cells_run(cells: &[PatternCell]) -> Vec<Vec<SimTime>> {
+fn pattern_cells_run(cells: &[PatternCell], shards: usize) -> Vec<Vec<SimTime>> {
     let mut tb = Testbed::new(ClusterConfig { machines: 2 * cells.len(), ..Default::default() });
     let mut setups = Vec::new();
     for (ci, cell) in cells.iter().enumerate() {
@@ -355,7 +355,7 @@ fn pattern_cells_run(cells: &[PatternCell]) -> Vec<Vec<SimTime>> {
     {
         let mut pinned: Vec<Pinned<'_>> =
             loops.iter_mut().enumerate().map(|(ci, cl)| Pinned::new(2 * ci, cl)).collect();
-        run_clients_sharded(&mut tb, &mut pinned, shards_default(), SimTime::MAX);
+        run_clients_sharded(&mut tb, &mut pinned, shards, SimTime::MAX);
     }
     loops.iter().map(|cl| cl.completions().to_vec()).collect()
 }
@@ -369,7 +369,7 @@ fn cell_mops(comps: &[SimTime], ops: u64) -> f64 {
 
 /// Fig 6(a,b,d): remote sequential vs random access (2 GB region), plus
 /// the registered-region-size sweep; (c) comes from the memmodel probe.
-pub fn fig6() -> Vec<Experiment> {
+pub fn fig6(ctx: &RunCtx) -> Vec<Experiment> {
     let region = 2u64 << 30;
     let payloads: [u64; 14] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192];
     let combos = [
@@ -396,7 +396,7 @@ pub fn fig6() -> Vec<Experiment> {
                 });
             }
         }
-        let comps = pattern_cells_run(&cells);
+        let comps = pattern_cells_run(&cells, ctx.shards);
         let mut series = Vec::new();
         for (ci, (label, _, _)) in combos.iter().enumerate() {
             let prefix = if matches!(kind, VerbKind::Read) { "read" } else { "write" };
@@ -454,7 +454,7 @@ pub fn fig6() -> Vec<Experiment> {
             })
         })
         .collect();
-    let comps = pattern_cells_run(&cells);
+    let comps = pattern_cells_run(&cells, ctx.shards);
     let mut series = Vec::new();
     for (ci, (label, _, _)) in combos.iter().enumerate() {
         let mut s = Series::new(*label);
@@ -537,7 +537,7 @@ impl Client for ThetaClient {
 /// 0.99) stream of small writes over a region much larger than the MTT
 /// cache covers, so the native path thrashes translations while the
 /// consolidated path merges θ writes per hot block into one block write.
-pub fn fig8() -> Vec<Experiment> {
+pub fn fig8(ctx: &RunCtx) -> Vec<Experiment> {
     let region = 64u64 << 20; // 64k blocks of 1 KB, 16x the MTT coverage
     let blocks = region / 1024;
     let zipf = workloads::Zipf::paper(blocks);
@@ -594,7 +594,7 @@ pub fn fig8() -> Vec<Experiment> {
     {
         let mut pinned: Vec<Pinned<'_>> = vec![Pinned::new(0, &mut native_cl)];
         pinned.extend(theta_cls.iter_mut().enumerate().map(|(j, c)| Pinned::new(2 * (j + 1), c)));
-        run_clients_sharded(&mut tb, &mut pinned, shards_default(), SimTime::MAX);
+        run_clients_sharded(&mut tb, &mut pinned, ctx.shards, SimTime::MAX);
     }
     let comps = native_cl.completions();
     let native =
@@ -620,9 +620,9 @@ pub fn fig8() -> Vec<Experiment> {
 /// traffic in one global queue; each pair is an independent component,
 /// so the sharded engine spreads pairs across cores and the sweep's
 /// wall-clock scales with machines/shards instead of machines.
-pub fn fig6_xl(scale: Scale) -> Vec<Experiment> {
+pub fn fig6_xl(ctx: &RunCtx) -> Vec<Experiment> {
     let (pair_counts, ops): (&[usize], u64) =
-        if scale.paper { (&[4, 8, 16, 32, 48], 6000) } else { (&[4, 8, 16, 24], 1500) };
+        if ctx.scale.paper { (&[4, 8, 16, 32, 48], 6000) } else { (&[4, 8, 16, 24], 1500) };
     let region = 64u64 << 20;
     let mut series = Vec::new();
     for (label, seq) in [("write-seq-seq", true), ("write-rand-rand", false)] {
@@ -638,7 +638,7 @@ pub fn fig6_xl(scale: Scale) -> Vec<Experiment> {
                     ops,
                 })
                 .collect();
-            let comps = pattern_cells_run(&cells);
+            let comps = pattern_cells_run(&cells, ctx.shards);
             // Aggregate throughput: fold per-pair meters over the common
             // steady-state window (second half of each pair's run).
             let mut merged = Meter::new(SimTime::ZERO);
@@ -691,7 +691,14 @@ struct FleetMem {
 /// feasible: dense backing for 2048 machines x 256 MiB would need half a
 /// terabyte, while only the seeded source page and the destination pages
 /// that received nonzero bytes ever materialize.
-fn fleet_run(pairs: usize, fan: usize, region: u64, ops: u64, seq: bool) -> (f64, FleetMem) {
+fn fleet_run(
+    pairs: usize,
+    fan: usize,
+    region: u64,
+    ops: u64,
+    seq: bool,
+    shards: usize,
+) -> (f64, FleetMem) {
     let mut tb = Testbed::new(ClusterConfig { machines: 2 * pairs, ..Default::default() });
     let mut setups = Vec::new();
     for p in 0..pairs {
@@ -737,7 +744,7 @@ fn fleet_run(pairs: usize, fan: usize, region: u64, ops: u64, seq: bool) -> (f64
     {
         let mut pinned: Vec<Pinned<'_>> =
             loops.iter_mut().enumerate().map(|(p, cl)| Pinned::new(2 * p, cl)).collect();
-        run_clients_sharded(&mut tb, &mut pinned, shards_default(), SimTime::MAX);
+        run_clients_sharded(&mut tb, &mut pinned, shards, SimTime::MAX);
     }
     let (mut resident, mut dense, mut digest) = (0u64, 0u64, 0xcbf2_9ce4_8422_2325u64);
     for (p, (src, dst, _)) in setups.iter().enumerate() {
@@ -775,9 +782,9 @@ fn fleet_run(pairs: usize, fan: usize, region: u64, ops: u64, seq: bool) -> (f64
 /// dense-equivalent registration is hundreds of gigabytes. The notes
 /// carry the resident/dense accounting and the fleet memory digest, so
 /// the 3-way determinism gate pins memory *placement* as well as timing.
-pub fn fig6_xxl(scale: Scale) -> Vec<Experiment> {
+pub fn fig6_xxl(ctx: &RunCtx) -> Vec<Experiment> {
     let (pair_counts, fan, ops): (&[usize], usize, u64) =
-        if scale.paper { (&[256, 1024], 48, 600) } else { (&[64, 256, 1024], 6, 64) };
+        if ctx.scale.paper { (&[256, 1024], 48, 600) } else { (&[64, 256, 1024], 6, 64) };
     let region = 256u64 << 20;
     let mut series = Vec::new();
     let mut notes = Vec::new();
@@ -785,7 +792,7 @@ pub fn fig6_xxl(scale: Scale) -> Vec<Experiment> {
         let mut s = Series::new(label);
         let mut top: Option<FleetMem> = None;
         for &pairs in pair_counts {
-            let (mops, mem) = fleet_run(pairs, fan, region, ops, seq);
+            let (mops, mem) = fleet_run(pairs, fan, region, ops, seq, ctx.shards);
             s.push(2.0 * pairs as f64, mops);
             top = Some(mem);
         }

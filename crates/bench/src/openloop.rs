@@ -10,28 +10,18 @@
 //! satellite of the rendered-output comparison) covers the full latency
 //! distributions, not just the plotted quantiles.
 
-use crate::{par_map, Experiment, Output, Scale};
+use crate::{par_map, Experiment, Output, RunCtx, Scale};
 use simcore::Series;
 use traffic::{find_knee, run_point, AppKind, Knee, SweepPoint, TrafficConfig};
 
-/// The open-loop traffic experiment ids, in app order.
-pub const TRAFFIC_IDS: &[&str] =
-    &["traffic-hashtable", "traffic-shuffle", "traffic-join", "traffic-dlog"];
-
-/// The app behind a `traffic-*` experiment id.
-///
-/// Panics on non-traffic ids, like [`crate::run_experiment`].
-pub fn app_of(id: &str) -> AppKind {
-    let app = id.strip_prefix("traffic-").and_then(AppKind::parse);
-    app.unwrap_or_else(|| panic!("unknown traffic experiment id {id:?}; known: {TRAFFIC_IDS:?}"))
-}
-
 /// Base configuration for the committed experiment grids: the crate
-/// default topology (2 pods × 2 workers), more ops at paper scale.
-pub fn base_cfg(app: AppKind, scale: Scale) -> TrafficConfig {
+/// default topology (2 pods × 2 workers), more ops at paper scale, on
+/// the run's shards.
+pub fn base_cfg(app: AppKind, ctx: &RunCtx) -> TrafficConfig {
     TrafficConfig {
         app,
-        ops_per_worker: if scale.paper { 4800 } else { 1200 },
+        ops_per_worker: if ctx.scale.paper { 4800 } else { 1200 },
+        shards: ctx.shards,
         ..TrafficConfig::default()
     }
 }
@@ -52,14 +42,14 @@ pub fn load_grid(app: AppKind) -> &'static [f64] {
 
 /// Run one app's load grid over both variants; points fan out across
 /// cores via [`par_map`] (independent deterministic simulations).
-fn grid_points(app: AppKind, scale: Scale) -> (Vec<SweepPoint>, Vec<SweepPoint>) {
+fn grid_points(app: AppKind, ctx: &RunCtx) -> (Vec<SweepPoint>, Vec<SweepPoint>) {
     let grid = load_grid(app);
     let mut items: Vec<(bool, f64)> = Vec::new();
     for optimized in [false, true] {
         items.extend(grid.iter().map(|&l| (optimized, l)));
     }
-    let mut pts = par_map(items, |(optimized, load)| {
-        let cfg = TrafficConfig { optimized, ..base_cfg(app, scale) };
+    let mut pts = par_map(ctx, items, |(optimized, load)| {
+        let cfg = TrafficConfig { optimized, ..base_cfg(app, ctx) };
         run_point(&cfg, load)
     });
     let opt = pts.split_off(grid.len());
@@ -68,9 +58,14 @@ fn grid_points(app: AppKind, scale: Scale) -> (Vec<SweepPoint>, Vec<SweepPoint>)
 
 /// One `traffic-*` experiment: p99 and achieved-throughput curves vs
 /// offered load for both variants of one app.
-pub fn experiment(id: &'static str, scale: Scale) -> Vec<Experiment> {
-    let app = app_of(id);
-    let (basic, opt) = grid_points(app, scale);
+pub fn experiment(app: AppKind, ctx: &RunCtx) -> Vec<Experiment> {
+    let id = match app {
+        AppKind::Hashtable => "traffic-hashtable",
+        AppKind::Shuffle => "traffic-shuffle",
+        AppKind::Join => "traffic-join",
+        AppKind::Dlog => "traffic-dlog",
+    };
+    let (basic, opt) = grid_points(app, ctx);
     let mut series = Vec::new();
     let mut notes = Vec::new();
     for (label, pts) in [("basic", &basic), ("optimized", &opt)] {
@@ -89,8 +84,8 @@ pub fn experiment(id: &'static str, scale: Scale) -> Vec<Experiment> {
     notes.push(format!(
         "open-loop Poisson arrivals, {} ops/worker over {} workers; p99 SLO for the knee \
          table is {} us (see BENCH_apps.json)",
-        base_cfg(app, scale).ops_per_worker,
-        base_cfg(app, scale).workers(),
+        base_cfg(app, ctx).ops_per_worker,
+        base_cfg(app, ctx).workers(),
         app.default_slo().as_us()
     ));
     vec![Experiment {
@@ -125,18 +120,18 @@ pub struct KneeRow {
 /// Locate the knee of every (app, variant) pair in `apps` under each
 /// app's SLO (or `slo_us` for all, when given). Pairs fan out across
 /// cores; rows come back in (app, variant) order.
-pub fn knee_rows(apps: &[AppKind], scale: Scale, slo_us: Option<f64>) -> Vec<KneeRow> {
+pub fn knee_rows(apps: &[AppKind], ctx: &RunCtx, slo_us: Option<f64>) -> Vec<KneeRow> {
     let mut items: Vec<(AppKind, bool)> = Vec::new();
     for &app in apps {
         items.push((app, false));
         items.push((app, true));
     }
-    par_map(items, |(app, optimized)| {
+    par_map(ctx, items, |(app, optimized)| {
         let slo = match slo_us {
             Some(us) => simcore::SimTime::from_ns_f64(us * 1e3),
             None => app.default_slo(),
         };
-        let cfg = TrafficConfig { optimized, ..base_cfg(app, scale) };
+        let cfg = TrafficConfig { optimized, ..base_cfg(app, ctx) };
         KneeRow {
             app: app.name().into(),
             variant: if optimized { "optimized" } else { "basic" }.into(),
@@ -199,7 +194,7 @@ pub fn apps_json(rows: &[KneeRow], scale: Scale) -> String {
 /// Render a load sweep over `apps` × variants × `loads` as an aligned
 /// table — the unit of the traffic-mode determinism comparison (digests
 /// included, so byte identity covers the full histograms).
-pub fn sweep_table(apps: &[AppKind], loads: &[f64], scale: Scale, shards: usize) -> String {
+pub fn sweep_table(apps: &[AppKind], loads: &[f64], ctx: &RunCtx) -> String {
     use std::fmt::Write as _;
     let mut items: Vec<(AppKind, bool, f64)> = Vec::new();
     for &app in apps {
@@ -207,8 +202,8 @@ pub fn sweep_table(apps: &[AppKind], loads: &[f64], scale: Scale, shards: usize)
             items.extend(loads.iter().map(|&l| (app, optimized, l)));
         }
     }
-    let pts = par_map(items.clone(), |(app, optimized, load)| {
-        let cfg = TrafficConfig { optimized, shards, ..base_cfg(app, scale) };
+    let pts = par_map(ctx, items.clone(), |(app, optimized, load)| {
+        let cfg = TrafficConfig { optimized, ..base_cfg(app, ctx) };
         run_point(&cfg, load)
     });
     let mut out = String::new();
@@ -239,12 +234,6 @@ pub fn sweep_table(apps: &[AppKind], loads: &[f64], scale: Scale, shards: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn app_of_resolves_every_traffic_id() {
-        let apps: Vec<AppKind> = TRAFFIC_IDS.iter().map(|id| app_of(id)).collect();
-        assert_eq!(apps, AppKind::all());
-    }
 
     #[test]
     fn knee_json_and_table_round_trip_shape() {

@@ -23,25 +23,24 @@
 //! rendered output is a byte-identity unit for the determinism gates.
 
 use crate::openloop::{base_cfg, KneeRow};
-use crate::{par_map, Experiment, Output, Scale};
+use crate::{par_map, Experiment, Output, RunCtx};
 use simcore::{Series, SimTime};
 use traffic::{
     find_knee, find_txn_knee, run_traffic, run_txn_at, AppKind, TrafficConfig, TxnTrafficConfig,
 };
 use txn::{Concurrency, Scheduler, TxnProfile};
 
-/// The transactional experiment ids.
-pub const TXN_IDS: &[&str] = &["txn-contention", "txn-fairness"];
-
 /// Aggressor tenant's arrival-rate multiplier in the fairness table.
 pub const AGGRESSOR: f64 = 8.0;
 
 /// Base transactional traffic configuration for the committed
-/// experiments: crate default topology, more ops at paper scale.
-pub fn base_txn_cfg(profile: TxnProfile, scale: Scale) -> TxnTrafficConfig {
+/// experiments: crate default topology, more ops at paper scale, on the
+/// run's shards.
+pub fn base_txn_cfg(profile: TxnProfile, ctx: &RunCtx) -> TxnTrafficConfig {
     TxnTrafficConfig {
         profile,
-        ops_per_tenant: if scale.paper { 1600 } else { 400 },
+        ops_per_tenant: if ctx.scale.paper { 1600 } else { 400 },
+        shards: ctx.shards,
         ..TxnTrafficConfig::default()
     }
 }
@@ -54,7 +53,7 @@ const CONFLICTS: &[f64] = &[0.0, 0.2, 0.4, 0.6, 0.8];
 
 /// One pod, a small hot set, both modes: conflict probability is the
 /// only axis that moves.
-fn contention_cfg(concurrency: Concurrency, conflict: f64, scale: Scale) -> TxnTrafficConfig {
+fn contention_cfg(concurrency: Concurrency, conflict: f64, ctx: &RunCtx) -> TxnTrafficConfig {
     TxnTrafficConfig {
         concurrency,
         conflict,
@@ -62,20 +61,20 @@ fn contention_cfg(concurrency: Concurrency, conflict: f64, scale: Scale) -> TxnT
         records: 256,
         hot: 8,
         offered_mops: 0.3,
-        ops_per_tenant: if scale.paper { 1000 } else { 250 },
-        ..base_txn_cfg(TxnProfile::Hashtable, scale)
+        ops_per_tenant: if ctx.scale.paper { 1000 } else { 250 },
+        ..base_txn_cfg(TxnProfile::Hashtable, ctx)
     }
 }
 
 /// `txn-contention`: p99 and abort ratio vs conflict rate, optimistic
 /// and locked side by side.
-pub fn contention_experiment(scale: Scale) -> Vec<Experiment> {
+pub fn contention_experiment(ctx: &RunCtx) -> Vec<Experiment> {
     let mut items: Vec<(Concurrency, f64)> = Vec::new();
     for mode in [Concurrency::Optimistic, Concurrency::Locked] {
         items.extend(CONFLICTS.iter().map(|&c| (mode, c)));
     }
-    let reports = par_map(items.clone(), |(mode, conflict)| {
-        let cfg = contention_cfg(mode, conflict, scale);
+    let reports = par_map(ctx, items.clone(), |(mode, conflict)| {
+        let cfg = contention_cfg(mode, conflict, ctx);
         run_txn_at(&cfg, cfg.offered_mops)
     });
     let mut series = Vec::new();
@@ -94,7 +93,7 @@ pub fn contention_experiment(scale: Scale) -> Vec<Experiment> {
         series.push(abort);
         notes.push(format!("{} digests: {}", mode.name(), digests.join(" ")));
     }
-    let cfg = contention_cfg(Concurrency::Optimistic, 0.0, scale);
+    let cfg = contention_cfg(Concurrency::Optimistic, 0.0, ctx);
     notes.push(format!(
         "{} tenants x {} txns over {} QPs at {} MTPS offered; {} records, {} hot; abort ratio = \
          aborts / (commits + aborts)",
@@ -125,27 +124,27 @@ pub struct FairnessRow {
     pub digest: u64,
 }
 
-fn fairness_cfg(scheduler: Scheduler, aggressor: f64, scale: Scale) -> TxnTrafficConfig {
+fn fairness_cfg(scheduler: Scheduler, aggressor: f64, ctx: &RunCtx) -> TxnTrafficConfig {
     TxnTrafficConfig {
         scheduler,
         aggressor,
         offered_mops: 0.6,
         conflict: 0.1,
-        ops_per_tenant: if scale.paper { 1200 } else { 300 },
-        ..base_txn_cfg(TxnProfile::Hashtable, scale)
+        ops_per_tenant: if ctx.scale.paper { 1200 } else { 300 },
+        ..base_txn_cfg(TxnProfile::Hashtable, ctx)
     }
 }
 
 /// Run the four fairness cells: {FIFO, DRR} × {baseline, aggressor}.
-pub fn fairness_rows(scale: Scale) -> Vec<FairnessRow> {
+pub fn fairness_rows(ctx: &RunCtx) -> Vec<FairnessRow> {
     let items: Vec<(Scheduler, f64)> = vec![
         (Scheduler::Fifo, 1.0),
         (Scheduler::Fifo, AGGRESSOR),
         (Scheduler::Drr { quantum: 8 }, 1.0),
         (Scheduler::Drr { quantum: 8 }, AGGRESSOR),
     ];
-    par_map(items, |(scheduler, aggressor)| {
-        let cfg = fairness_cfg(scheduler, aggressor, scale);
+    par_map(ctx, items, |(scheduler, aggressor)| {
+        let cfg = fairness_cfg(scheduler, aggressor, ctx);
         let r = run_txn_at(&cfg, cfg.offered_mops);
         let tenant_p99_us = r.tenant_p99_us();
         let victim_p99_us = tenant_p99_us.iter().skip(1).copied().fold(0.0f64, f64::max);
@@ -195,9 +194,9 @@ pub fn fairness_table(rows: &[FairnessRow]) -> String {
 }
 
 /// `txn-fairness`: the committed fairness table plus its digests.
-pub fn fairness_experiment(scale: Scale) -> Vec<Experiment> {
-    let rows = fairness_rows(scale);
-    let cfg = fairness_cfg(Scheduler::Fifo, 1.0, scale);
+pub fn fairness_experiment(ctx: &RunCtx) -> Vec<Experiment> {
+    let rows = fairness_rows(ctx);
+    let cfg = fairness_cfg(Scheduler::Fifo, 1.0, ctx);
     let mut notes = vec![
         format!(
             "tenant 0 multiplies its arrival rate by {AGGRESSOR}; victims keep the base rate \
@@ -229,7 +228,7 @@ pub fn fairness_experiment(scale: Scale) -> Vec<Experiment> {
 
 /// `traffic-burst`: Poisson vs MMPP capacity knees at the same mean
 /// offered load, per app × variant, with the headroom lost to burst.
-pub fn burst_experiment(scale: Scale) -> Vec<Experiment> {
+pub fn burst_experiment(ctx: &RunCtx) -> Vec<Experiment> {
     use std::fmt::Write as _;
     let mut items: Vec<(AppKind, bool, bool)> = Vec::new();
     for app in AppKind::all() {
@@ -239,8 +238,8 @@ pub fn burst_experiment(scale: Scale) -> Vec<Experiment> {
             }
         }
     }
-    let knees = par_map(items.clone(), |(app, optimized, bursty)| {
-        let cfg = TrafficConfig { optimized, bursty, ..base_cfg(app, scale) };
+    let knees = par_map(ctx, items.clone(), |(app, optimized, bursty)| {
+        let cfg = TrafficConfig { optimized, bursty, ..base_cfg(app, ctx) };
         find_knee(&cfg, app.default_slo())
     });
     let mut table = String::new();
@@ -287,23 +286,23 @@ pub fn burst_experiment(scale: Scale) -> Vec<Experiment> {
 // ---------------------------------------------------------------------------
 // traffic-series
 
-fn series_cfg(optimized: bool, scale: Scale) -> TrafficConfig {
+fn series_cfg(optimized: bool, ctx: &RunCtx) -> TrafficConfig {
     TrafficConfig {
         optimized,
         bursty: true,
         offered_mops: 8.0,
-        ops_per_worker: if scale.paper { 9600 } else { 2400 },
+        ops_per_worker: if ctx.scale.paper { 9600 } else { 2400 },
         window: SimTime::from_us(100),
-        ..base_cfg(AppKind::Hashtable, scale)
+        ..base_cfg(AppKind::Hashtable, ctx)
     }
 }
 
 /// `traffic-series`: per-window p99 and goodput over time under MMPP
 /// arrivals — the latency series as a committed experiment.
-pub fn series_experiment(scale: Scale) -> Vec<Experiment> {
+pub fn series_experiment(ctx: &RunCtx) -> Vec<Experiment> {
     let reports =
-        par_map(vec![false, true], |optimized| run_traffic(&series_cfg(optimized, scale)));
-    let window_us = series_cfg(false, scale).window.as_us();
+        par_map(ctx, vec![false, true], |optimized| run_traffic(&series_cfg(optimized, ctx)));
+    let window_us = series_cfg(false, ctx).window.as_us();
     let mut series = Vec::new();
     let mut notes = Vec::new();
     for (optimized, r) in [false, true].into_iter().zip(&reports) {
@@ -319,7 +318,7 @@ pub fn series_experiment(scale: Scale) -> Vec<Experiment> {
         series.push(goodput);
         notes.push(format!("{label} histogram digest: {:016x}", r.digest()));
     }
-    let cfg = series_cfg(false, scale);
+    let cfg = series_cfg(false, ctx);
     notes.push(format!(
         "hashtable under MMPP arrivals at {} MOPS mean ({}us windows, windowed by arrival time \
          so the series is schedule-independent); burst phases push offered load to 1.5x the \
@@ -343,7 +342,7 @@ pub fn series_experiment(scale: Scale) -> Vec<Experiment> {
 pub fn txn_knee_rows(
     profiles: &[TxnProfile],
     modes: &[Concurrency],
-    scale: Scale,
+    ctx: &RunCtx,
     slo_us: Option<f64>,
 ) -> Vec<KneeRow> {
     let mut items: Vec<(TxnProfile, Concurrency)> = Vec::new();
@@ -352,8 +351,8 @@ pub fn txn_knee_rows(
             items.push((profile, mode));
         }
     }
-    par_map(items, |(profile, concurrency)| {
-        let base = TxnTrafficConfig { concurrency, ..base_txn_cfg(profile, scale) };
+    par_map(ctx, items, |(profile, concurrency)| {
+        let base = TxnTrafficConfig { concurrency, ..base_txn_cfg(profile, ctx) };
         let slo = match slo_us {
             Some(us) => SimTime::from_ns_f64(us * 1e3),
             None => base.default_slo(),
@@ -374,8 +373,7 @@ pub fn txn_sweep_table(
     profiles: &[TxnProfile],
     modes: &[Concurrency],
     loads: &[f64],
-    scale: Scale,
-    shards: usize,
+    ctx: &RunCtx,
 ) -> String {
     use std::fmt::Write as _;
     let mut items: Vec<(TxnProfile, Concurrency, f64)> = Vec::new();
@@ -384,8 +382,8 @@ pub fn txn_sweep_table(
             items.extend(loads.iter().map(|&l| (profile, mode, l)));
         }
     }
-    let reports = par_map(items.clone(), |(profile, concurrency, load)| {
-        let base = TxnTrafficConfig { concurrency, shards, ..base_txn_cfg(profile, scale) };
+    let reports = par_map(ctx, items.clone(), |(profile, concurrency, load)| {
+        let base = TxnTrafficConfig { concurrency, ..base_txn_cfg(profile, ctx) };
         run_txn_at(&base, load)
     });
     let mut out = String::new();
@@ -429,9 +427,9 @@ mod tests {
 
     #[test]
     fn contention_raises_aborts_with_conflict() {
-        let scale = Scale { paper: false };
-        let quiet = run_txn_at(&contention_cfg(Concurrency::Optimistic, 0.0, scale), 0.3);
-        let hot = run_txn_at(&contention_cfg(Concurrency::Optimistic, 0.8, scale), 0.3);
+        let ctx = RunCtx::SERIAL;
+        let quiet = run_txn_at(&contention_cfg(Concurrency::Optimistic, 0.0, &ctx), 0.3);
+        let hot = run_txn_at(&contention_cfg(Concurrency::Optimistic, 0.8, &ctx), 0.3);
         assert_eq!(quiet.stats.failures, 0);
         assert_eq!(hot.stats.failures, 0);
         assert!(
@@ -448,7 +446,7 @@ mod tests {
         // pool, DRR keeps the victims' p99 inflation bounded, and no
         // worse than FIFO's (which serves the aggressor's backlog in
         // arrival order).
-        let rows = fairness_rows(Scale { paper: false });
+        let rows = fairness_rows(&RunCtx::SERIAL);
         let fifo = victim_inflation(&rows, Scheduler::Fifo);
         let drr = victim_inflation(&rows, Scheduler::Drr { quantum: 8 });
         assert!(drr.is_finite() && drr > 0.0);
@@ -460,9 +458,9 @@ mod tests {
     fn txn_sweep_table_is_shard_invariant() {
         let profiles = [TxnProfile::Hashtable];
         let modes = [Concurrency::Optimistic, Concurrency::Locked];
-        let scale = Scale { paper: false };
-        let serial = txn_sweep_table(&profiles, &modes, &[0.05], scale, 1);
-        let sharded = txn_sweep_table(&profiles, &modes, &[0.05], scale, 2);
+        let serial = txn_sweep_table(&profiles, &modes, &[0.05], &RunCtx::SERIAL);
+        let sharded =
+            txn_sweep_table(&profiles, &modes, &[0.05], &RunCtx { shards: 2, ..RunCtx::SERIAL });
         assert_eq!(serial, sharded, "txn sweep table must be byte-identical under --shards 2");
         assert!(serial.contains("optimistic") && serial.contains("locked"));
     }
@@ -472,7 +470,7 @@ mod tests {
         // Shape-only smoke at tiny scale happens implicitly through the
         // committed results; here just check the series experiment has
         // multiple windows and both variants.
-        let exps = series_experiment(Scale { paper: false });
+        let exps = series_experiment(&RunCtx::SERIAL);
         let r = exps[0].render();
         assert!(r.contains("basic p99(us)") && r.contains("optimized p99(us)"));
         let data_lines = r

@@ -22,27 +22,6 @@
 use crate::engine::{drive_steps, Client};
 use crate::testbed::Testbed;
 use simcore::{opcount, EventQueue, SimTime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide default shard count: 0 = auto (one shard per available
-/// core, capped). Runner flags set this once at startup.
-static SHARDS_DEFAULT: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-wide default shard count. `None` restores auto.
-pub fn set_shards_default(n: Option<usize>) {
-    SHARDS_DEFAULT.store(n.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// The effective default shard count: the value set by
-/// [`set_shards_default`], or (auto) the machine's available
-/// parallelism capped at 8 — shards beyond the component count idle, so
-/// a modest cap keeps thread churn bounded.
-pub fn shards_default() -> usize {
-    match SHARDS_DEFAULT.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()).min(8),
-        n => n,
-    }
-}
 
 /// A client pinned to its home machine — the runtime needs to know
 /// where each client's issuing CPU lives.

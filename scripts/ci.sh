@@ -37,9 +37,11 @@ echo "== bench binaries build =="
 cargo build --benches --release --offline
 
 echo "== determinism check (serial vs parallel vs sharded) =="
-# The gate's id set includes fig6-xxl: a small-scale fleet sweep whose
-# rendered notes carry the sparse pool's resident-page digests, so all
-# three legs also prove memory materialization/elision byte-identity.
+# The gate runs the registry's gate-tagged experiments. They include
+# fig6-xxl, a small-scale fleet sweep whose rendered notes carry the
+# sparse pool's resident-page digests, so all three legs also prove
+# memory materialization/elision byte-identity; and txn-fairness, whose
+# two pods the sharded leg deals to two threads.
 cargo run --release --offline -p bench -- --check-determinism
 
 echo "== fig6-xxl fleet sweep (2048 machines on the sparse lazy-page pool) =="
@@ -93,5 +95,8 @@ cargo run --release --offline -p bench -- --lint --caps sweep all >/dev/null
 
 echo "== auto-fix fixpoint (zero W2xx after repro --lint --fix all) =="
 cargo run --release --offline -p bench -- --lint --fix all >/dev/null
+
+echo "== production Rust lines (information only) =="
+scripts/prod_lines.sh
 
 echo "CI OK"
