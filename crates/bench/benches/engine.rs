@@ -23,8 +23,8 @@ fn bench_event_queue() {
     }
     // The open-loop arrival pattern the traffic engine produces: one
     // million timers outstanding at once, spread across ~1 s of virtual
-    // time — far beyond the near-future ladder, so the timing wheel
-    // carries them — then a steady-state churn that pops the earliest
+    // time, spread over the timing wheel's upper levels — then a
+    // steady-state churn that pops the earliest
     // timer and re-arms it ~1 s ahead while occupancy stays at 1M.
     bench("event_queue/wheel_1m_outstanding", 1_000_000, || {
         let mut q = EventQueue::new();

@@ -109,8 +109,7 @@ pub fn par_map<T: Send, R: Send>(ctx: &RunCtx, items: Vec<T>, f: impl Fn(T) -> R
 /// Membership of an experiment in a named set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tag {
-    /// The §III microbenchmark set (`repro micro`, the bench wall-clock
-    /// acceptance target).
+    /// The §III microbenchmark set (`repro micro`).
     Micro,
     /// The `repro --check-determinism` set.
     Gate,
@@ -120,6 +119,7 @@ pub enum Tag {
 pub type Programs = Vec<(String, VerbProgram)>;
 
 /// One experiment group the harness can regenerate.
+#[derive(Clone, Copy)]
 pub struct ExpSpec {
     /// The id `repro` takes on its command line.
     pub id: &'static str,
@@ -130,6 +130,10 @@ pub struct ExpSpec {
     pub programs: Option<fn() -> Programs>,
     /// The sets this experiment belongs to.
     pub tags: &'static [Tag],
+    /// The simulated operations a laptop-scale run performs, pinned
+    /// exactly: simulated work is deterministic, so any drift is a
+    /// behaviour change. `None` for an unpinned experiment.
+    pub sim_ops: Option<u64>,
 }
 
 impl ExpSpec {
@@ -137,34 +141,42 @@ impl ExpSpec {
     pub fn has(&self, tag: Tag) -> bool {
         self.tags.contains(&tag)
     }
+
+    /// This row with its laptop-scale `sim_ops` pinned to `sim_ops`.
+    const fn pinned(self, sim_ops: u64) -> ExpSpec {
+        ExpSpec { sim_ops: Some(sim_ops), ..self }
+    }
 }
 
-/// One registry row.
+/// One registry row, unpinned.
 const fn exp(
     id: &'static str,
     run: fn(&RunCtx) -> Vec<Experiment>,
     programs: Option<fn() -> Programs>,
     tags: &'static [Tag],
 ) -> ExpSpec {
-    ExpSpec { id, run, programs, tags }
+    ExpSpec { id, run, programs, tags, sim_ops: None }
 }
 
 use traffic::AppKind as App;
 use Tag::{Gate, Micro};
 
 /// Every experiment the harness can regenerate, in paper order: id, run,
-/// lint programs, tags. This table is the one list of experiment ids.
+/// lint programs, tags, and, on the rows [`check_sim_ops`] holds to an
+/// exact count, a `sim_ops` pin. This table is the one list of
+/// experiment ids.
 pub static EXPERIMENTS: &[ExpSpec] = &[
-    exp("fig1", |_| micro::fig1(), Some(lint::fig1), &[Micro]),
-    exp("fig3", |_| micro::fig3(), Some(|| lint::strategies(16, 32)), &[Micro]),
-    exp("fig4", |_| micro::fig4(), Some(|| lint::strategies(32, 32)), &[Micro]),
-    exp("fig5", |_| micro::fig5(), Some(lint::fig5), &[Micro]),
-    exp("table1", |_| micro::table1(), Some(|| lint::strategies(32, 32)), &[Micro, Gate]),
-    exp("fig6", micro::fig6, Some(lint::fig6), &[Micro]),
-    exp("fig8", micro::fig8, Some(lint::fig8), &[Micro, Gate]),
+    exp("fig1", |_| micro::fig1(), Some(lint::fig1), &[Micro]).pinned(78052),
+    exp("fig3", |_| micro::fig3(), Some(|| lint::strategies(16, 32)), &[Micro]).pinned(115200),
+    exp("fig4", |_| micro::fig4(), Some(|| lint::strategies(32, 32)), &[Micro]).pinned(30000),
+    exp("fig5", |_| micro::fig5(), Some(lint::fig5), &[Micro]).pinned(64800),
+    exp("table1", |_| micro::table1(), Some(|| lint::strategies(32, 32)), &[Micro, Gate])
+        .pinned(11700),
+    exp("fig6", micro::fig6, Some(lint::fig6), &[Micro]).pinned(470400),
+    exp("fig8", micro::fig8, Some(lint::fig8), &[Micro, Gate]).pinned(217445),
     // Local inter-socket memory only: no verbs.
-    exp("table2", |_| micro::table2(), None, &[Micro, Gate]),
-    exp("table3", |_| micro::table3(), Some(lint::table3), &[Micro]),
+    exp("table2", |_| micro::table2(), None, &[Micro, Gate]).pinned(10240),
+    exp("table3", |_| micro::table3(), Some(lint::table3), &[Micro]).pinned(10836),
     exp("fig10", |_| atomics::fig10(), Some(lint::atomics), &[]),
     exp("fig12", |_| appfigs::fig12(), Some(lint::hashtable), &[]),
     exp("fig13", |_| appfigs::fig13(), Some(lint::hashtable), &[]),
@@ -183,7 +195,7 @@ pub static EXPERIMENTS: &[ExpSpec] = &[
     // once. fig6-xxl's notes carry the sparse pool's memory digest, so
     // the gate pins memory placement too.
     exp("fig6-xl", micro::fig6_xl, Some(lint::fig6), &[]),
-    exp("fig6-xxl", micro::fig6_xxl, Some(lint::fig6), &[Gate]),
+    exp("fig6-xxl", micro::fig6_xxl, Some(lint::fig6), &[Gate]).pinned(172032),
     exp("ablate-occupancy", |_| ablate::ablate_occupancy(), Some(lint::rand_write), &[]),
     exp("ablate-mtt", |_| ablate::ablate_mtt_capacity(), Some(lint::rand_write), &[]),
     exp("ablate-backoff", |_| ablate::ablate_backoff(), Some(lint::atomics), &[]),
@@ -193,25 +205,29 @@ pub static EXPERIMENTS: &[ExpSpec] = &[
         |c| openloop::experiment(App::Hashtable, c),
         Some(|| lint::traffic(App::Hashtable)),
         &[],
-    ),
+    )
+    .pinned(50888),
     exp(
         "traffic-shuffle",
         |c| openloop::experiment(App::Shuffle, c),
         Some(|| lint::traffic(App::Shuffle)),
         &[],
-    ),
+    )
+    .pinned(59513),
     exp(
         "traffic-join",
         |c| openloop::experiment(App::Join, c),
         Some(|| lint::traffic(App::Join)),
         &[],
-    ),
+    )
+    .pinned(61904),
     exp(
         "traffic-dlog",
         |c| openloop::experiment(App::Dlog, c),
         Some(|| lint::traffic(App::Dlog)),
         &[],
-    ),
+    )
+    .pinned(89366),
     // Burstiness changes when verbs are posted, never which, so the
     // burst knees and the windowed series lint the app drivers' shapes.
     exp("traffic-burst", txnbench::burst_experiment, Some(lint::traffic_all), &[]),
@@ -243,6 +259,39 @@ pub fn ids() -> Vec<&'static str> {
     EXPERIMENTS.iter().map(|s| s.id).collect()
 }
 
+/// A pinned experiment's `sim_ops`: what its row pins and what a fresh
+/// run counted.
+#[derive(Debug)]
+pub struct SimOpsRow {
+    /// The experiment id.
+    pub id: &'static str,
+    /// The registry's pin.
+    pub pinned: u64,
+    /// The fresh run's count.
+    pub fresh: u64,
+}
+
+impl SimOpsRow {
+    /// Whether the fresh count differs from the pin.
+    pub fn drifted(&self) -> bool {
+        self.fresh != self.pinned
+    }
+}
+
+/// Rerun every row of `specs` that pins `sim_ops`, on `ctx.jobs` workers,
+/// and count each run's simulated operations ([`simcore::opcount`]).
+/// Rows come back in the order given. The pins are laptop-scale, so
+/// `ctx.scale` must be too.
+pub fn check_sim_ops(specs: &[ExpSpec], ctx: &RunCtx) -> Vec<SimOpsRow> {
+    assert!(!ctx.scale.paper, "sim_ops pins are laptop-scale");
+    let pinned: Vec<(&ExpSpec, u64)> = specs.iter().filter_map(|s| Some((s, s.sim_ops?))).collect();
+    par_map(ctx, pinned, |(spec, pinned)| {
+        let before = simcore::opcount::current();
+        (spec.run)(ctx);
+        SimOpsRow { id: spec.id, pinned, fresh: simcore::opcount::current() - before }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,6 +309,25 @@ mod tests {
         for e in exps {
             assert!(!e.render().is_empty());
         }
+    }
+
+    /// The pin check passes on the registry's own pins and names exactly
+    /// the row whose pin is off by one.
+    #[test]
+    fn sim_ops_check_reports_exactly_the_drifted_row() {
+        let cheap: Vec<ExpSpec> = ["table1", "table3", "fig4"]
+            .iter()
+            .map(|id| *lookup(id).expect("registered"))
+            .collect();
+        let rows = check_sim_ops(&cheap, &RunCtx::SERIAL);
+        assert_eq!(rows.iter().map(|r| r.id).collect::<Vec<_>>(), ["table1", "table3", "fig4"]);
+        assert!(rows.iter().all(|r| !r.drifted()), "registry pins drifted: {rows:?}");
+
+        let mut off = cheap;
+        off[1].sim_ops = off[1].sim_ops.map(|n| n + 1);
+        let rows = check_sim_ops(&off, &RunCtx::SERIAL);
+        let drifted: Vec<_> = rows.iter().filter(|r| r.drifted()).map(|r| r.id).collect();
+        assert_eq!(drifted, ["table3"]);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! repro all --jobs 4        # cap the worker threads (default: all cores)
 //! repro all --serial        # one worker (same output, more wall-clock)
 //! repro all --shards 4      # in-simulation shards (default: auto; 1 = serial engine)
-//! repro all --bench-json BENCH_engine.json   # machine-readable timings
 //! repro --check-determinism # prove serial/parallel/sharded runs agree
-//! repro --bench-compare BENCH_engine.json   # diff a fresh run vs baseline
+//! repro --check-sim-ops     # rerun the registry's sim_ops pins, exit 1 on drift
 //! repro --lint all          # static verb analysis instead of running
 //!
 //! repro --traffic all --load knee --apps-json BENCH_apps.json
@@ -34,127 +33,23 @@
 //! `cd results && gnuplot *.gp` renders the figures to SVG.
 
 use bench::{lookup, par_map, ExpSpec, Experiment, RunCtx, Scale, Tag, EXPERIMENTS};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-/// Live heap bytes right now, maintained by [`PeakAlloc`].
-static HEAP_CURRENT: AtomicU64 = AtomicU64::new(0);
-/// Process-wide high-water mark of live heap bytes. Monotone: fleet-scale
-/// experiments (fig6-xxl's 2048-machine sparse pool) must keep this far
-/// below the dense-equivalent registration, and `bench-engine-v3` records
-/// it per experiment so regressions in memory footprint show up in
-/// `--bench-compare` like wall-clock regressions do.
-static HEAP_PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// Accounting wrapper around the system allocator: tracks net live bytes
-/// and their high-water mark. The two relaxed atomics cost nanoseconds
-/// per allocation — noise against the simulations being measured.
-struct PeakAlloc;
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let now =
-            HEAP_CURRENT.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-        HEAP_PEAK.fetch_max(now, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        HEAP_CURRENT.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            let grow = (new_size - layout.size()) as u64;
-            let now = HEAP_CURRENT.fetch_add(grow, Ordering::Relaxed) + grow;
-            HEAP_PEAK.fetch_max(now, Ordering::Relaxed);
-        } else {
-            HEAP_CURRENT.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
-
-/// One experiment group's outcome: what to print/save plus how much work
-/// the simulation did (for the machine-readable timing report).
-struct GroupRun {
-    id: &'static str,
-    experiments: Vec<Experiment>,
-    wall_ms: f64,
-    sim_ops: u64,
-    /// Process heap high-water mark (bytes) observed by the end of this
-    /// group. The mark is monotone over the process, so under parallel
-    /// execution concurrent groups share it; recorded per experiment it
-    /// bounds each experiment's footprint from above.
-    peak_alloc_bytes: u64,
-}
-
-fn run_group(spec: &ExpSpec, ctx: &RunCtx) -> GroupRun {
-    let ops_before = simcore::opcount::current();
-    let start = Instant::now();
-    let experiments = (spec.run)(ctx);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let sim_ops = simcore::opcount::current() - ops_before;
-    let peak_alloc_bytes = HEAP_PEAK.load(Ordering::Relaxed);
-    GroupRun { id: spec.id, experiments, wall_ms, sim_ops, peak_alloc_bytes }
-}
-
-/// Run `specs` on `ctx.jobs` workers; results come back in the order given.
-fn run_groups(specs: &[&ExpSpec], ctx: &RunCtx) -> Vec<GroupRun> {
-    par_map(ctx, specs.to_vec(), |spec| run_group(spec, ctx))
+/// Run `specs` on `ctx.jobs` workers; each group's experiments come back
+/// in the order given.
+fn run_groups(specs: &[&ExpSpec], ctx: &RunCtx) -> Vec<Vec<Experiment>> {
+    par_map(ctx, specs.to_vec(), |spec| (spec.run)(ctx))
 }
 
 /// Render every experiment of a run list to one string (the unit of the
 /// byte-identity guarantee).
-fn render_all(runs: &[GroupRun]) -> String {
+fn render_all(groups: &[Vec<Experiment>]) -> String {
     let mut out = String::new();
-    for r in runs {
-        for e in &r.experiments {
-            out.push_str(&e.render());
-            out.push('\n');
-        }
+    for e in groups.iter().flatten() {
+        out.push_str(&e.render());
+        out.push('\n');
     }
     out
-}
-
-/// Hand-rolled JSON (the container is offline; no serde): per-experiment
-/// wall-clock and simulated-operation throughput plus the total. Schema
-/// v3 adds `peak_alloc_bytes` — the process heap high-water mark by the
-/// end of each experiment (and overall), so memory-footprint regressions
-/// are tracked alongside wall-clock ones. `parse_baseline`'s field
-/// scanner ignores unknown keys, so v1/v2 baselines stay comparable.
-fn bench_json(runs: &[GroupRun], total_wall_ms: f64, jobs: usize, shards: usize) -> String {
-    let mut s = String::from("{\n  \"schema\": \"bench-engine-v3\",\n");
-    s.push_str(&format!("  \"jobs\": {jobs},\n"));
-    s.push_str(&format!("  \"shards\": {shards},\n"));
-    s.push_str("  \"experiments\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let per_sec = if r.wall_ms > 0.0 { r.sim_ops as f64 / (r.wall_ms / 1e3) } else { 0.0 };
-        s.push_str(&format!(
-            "    {{\"id\": \"{}\", \"wall_ms\": {:.3}, \"sim_ops\": {}, \"sim_ops_per_sec\": {:.0}, \"peak_alloc_bytes\": {}, \"shards\": {}}}{}\n",
-            r.id,
-            r.wall_ms,
-            r.sim_ops,
-            per_sec,
-            r.peak_alloc_bytes,
-            shards,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    let total_ops: u64 = runs.iter().map(|r| r.sim_ops).sum();
-    let total_per_sec =
-        if total_wall_ms > 0.0 { total_ops as f64 / (total_wall_ms / 1e3) } else { 0.0 };
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"total_wall_ms\": {total_wall_ms:.3},\n"));
-    s.push_str(&format!("  \"total_sim_ops\": {total_ops},\n"));
-    s.push_str(&format!("  \"total_sim_ops_per_sec\": {total_per_sec:.0},\n"));
-    s.push_str(&format!("  \"total_peak_alloc_bytes\": {}\n", HEAP_PEAK.load(Ordering::Relaxed)));
-    s.push_str("}\n");
-    s
 }
 
 /// Exit 2 with `msg` on stderr: the command line cannot run as given.
@@ -351,110 +246,22 @@ fn run_sweep(
     }
 }
 
-/// One experiment row parsed back out of a committed bench JSON.
-struct BaselineRow {
-    id: String,
-    wall_ms: f64,
-    sim_ops: u64,
-    /// `None` for v1/v2 baselines recorded before the field existed.
-    peak_alloc_bytes: Option<u64>,
-}
-
-/// Parse the hand-rolled bench-engine JSON (the inverse of
-/// [`bench_json`]; still no serde in the offline container). Only the
-/// per-experiment rows are needed; the field scanner skips keys it does
-/// not know and tolerates keys that are absent, so every schema version
-/// (v1 through v3) parses.
-fn parse_baseline(text: &str) -> Vec<BaselineRow> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let start = line.find(&format!("\"{key}\": "))? + key.len() + 4;
-        let rest = &line[start..];
-        let rest = rest.strip_prefix('"').unwrap_or(rest);
-        let end = rest.find([',', '"', '}']).unwrap_or(rest.len());
-        Some(&rest[..end])
+/// `repro --check-sim-ops`: rerun every registry row that pins `sim_ops`
+/// and print its fresh and pinned counts. The counts must match exactly
+/// (simulated work is deterministic; any drift is a behaviour change), so
+/// any drift exits 1.
+fn run_sim_ops_check(ctx: &RunCtx) {
+    let rows = bench::check_sim_ops(EXPERIMENTS, ctx);
+    for r in &rows {
+        let eq = if r.drifted() { "!=" } else { "==" };
+        println!("{:18} sim_ops {:>12} {eq} {:>12} (pinned)", r.id, r.fresh, r.pinned);
     }
-    text.lines()
-        .filter(|l| l.trim_start().starts_with("{\"id\""))
-        .filter_map(|l| {
-            Some(BaselineRow {
-                id: field(l, "id")?.to_string(),
-                wall_ms: field(l, "wall_ms")?.parse().ok()?,
-                sim_ops: field(l, "sim_ops")?.parse().ok()?,
-                peak_alloc_bytes: field(l, "peak_alloc_bytes").and_then(|v| v.parse().ok()),
-            })
-        })
-        .collect()
-}
-
-/// Re-run every experiment recorded in `baseline` and diff: `sim_ops`
-/// must match **exactly** (simulated work is deterministic; any drift is
-/// a behaviour change), wall-clock and peak-heap regressions beyond 25 %
-/// are flagged as warnings (timing is hardware-dependent and the peak is
-/// a process-wide high-water mark, so they don't fail the run). Peaks
-/// are only compared when the baseline recorded them (bench-engine-v3+).
-fn bench_compare(path: &PathBuf, ctx: &RunCtx) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| usage_error(format!("cannot read baseline {}: {e}", path.display())));
-    let baseline = parse_baseline(&text);
-    if baseline.is_empty() {
-        usage_error(format!("no experiment rows found in {}", path.display()));
-    }
-    let specs: Vec<&ExpSpec> = baseline.iter().map(|r| spec(&r.id)).collect();
-    let runs = run_groups(&specs, ctx);
-    let mut drift = 0usize;
-    let mut slower = 0usize;
-    for (base, fresh) in baseline.iter().zip(&runs) {
-        if base.sim_ops != fresh.sim_ops {
-            eprintln!(
-                "DRIFT {}: sim_ops {} (baseline) != {} (fresh)",
-                base.id, base.sim_ops, fresh.sim_ops
-            );
-            drift += 1;
-        }
-        if base.wall_ms > 0.0 && fresh.wall_ms > base.wall_ms * 1.25 {
-            eprintln!(
-                "warning {}: wall {:.1}ms is {:.0}% over baseline {:.1}ms",
-                base.id,
-                fresh.wall_ms,
-                (fresh.wall_ms / base.wall_ms - 1.0) * 100.0,
-                base.wall_ms
-            );
-            slower += 1;
-        }
-        if let Some(base_peak) = base.peak_alloc_bytes {
-            if base_peak > 0 && fresh.peak_alloc_bytes as f64 > base_peak as f64 * 1.25 {
-                eprintln!(
-                    "warning {}: peak heap {:.1} MiB is {:.0}% over baseline {:.1} MiB",
-                    base.id,
-                    fresh.peak_alloc_bytes as f64 / (1u64 << 20) as f64,
-                    (fresh.peak_alloc_bytes as f64 / base_peak as f64 - 1.0) * 100.0,
-                    base_peak as f64 / (1u64 << 20) as f64
-                );
-                slower += 1;
-            }
-        }
-        println!(
-            "{:10} sim_ops {:>12} {} wall {:>8.1}ms (baseline {:.1}ms)",
-            base.id,
-            fresh.sim_ops,
-            if base.sim_ops == fresh.sim_ops { "==" } else { "!=" },
-            fresh.wall_ms,
-            base.wall_ms
-        );
-    }
+    let drift = rows.iter().filter(|r| r.drifted()).count();
     if drift > 0 {
-        eprintln!("bench-compare FAILED: {drift} experiment(s) drifted in sim_ops");
+        eprintln!("sim_ops check FAILED: {drift} experiment(s) drifted from their pins");
         std::process::exit(1);
     }
-    println!(
-        "bench-compare passed: {} experiment(s) match baseline sim_ops exactly{}",
-        baseline.len(),
-        if slower > 0 {
-            format!(", {slower} wall-time/peak-heap warning(s)")
-        } else {
-            String::new()
-        }
-    );
+    println!("sim_ops check passed: {} experiment(s) match their pins exactly", rows.len());
 }
 
 /// `repro --lint`: static verb analysis of the experiments' posting
@@ -548,12 +355,11 @@ fn main() {
     let mut specs: Vec<&'static ExpSpec> = Vec::new();
     let mut scale = Scale { paper: false };
     let mut out_dir: Option<PathBuf> = None;
-    let mut json_path: Option<PathBuf> = None;
     let mut do_check = false;
+    let mut check_sim_ops = false;
     let mut do_lint = false;
     let mut do_fix = false;
     let mut caps_spec: Option<String> = None;
-    let mut compare_path: Option<PathBuf> = None;
     // `None` = auto: every core for jobs, cores capped at 8 for shards.
     let mut jobs: Option<usize> = None;
     let mut shards: Option<usize> = None;
@@ -604,24 +410,21 @@ fn main() {
             }
             "--jobs" => jobs = Some(flag_value(args, &a, "a positive integer", positive)),
             "--check-determinism" => do_check = true,
+            "--check-sim-ops" => check_sim_ops = true,
             "--lint" => do_lint = true,
             "--fix" => do_fix = true,
             "--caps" => {
                 let needs = "a profile name, a caps file path, or 'sweep'";
                 caps_spec = Some(flag_value(args, &a, needs, |v| Some(v.to_string())));
             }
-            "--bench-compare" => {
-                compare_path = Some(flag_value(args, &a, "a baseline json path", path))
-            }
-            "--bench-json" => json_path = Some(flag_value(args, &a, "a file path", path)),
             "--out" => out_dir = Some(flag_value(args, &a, "a directory", path)),
             "all" => specs.extend(EXPERIMENTS),
             "micro" => specs.extend(EXPERIMENTS.iter().filter(|s| s.has(Tag::Micro))),
             "--help" | "-h" => {
                 println!(
                     "usage: repro [all | micro | <id>...] [--paper-scale] [--out DIR] \
-                     [--serial | --jobs N] [--shards N|auto] [--bench-json PATH] \
-                     [--bench-compare PATH] [--check-determinism] \
+                     [--serial | --jobs N] [--shards N|auto] [--check-determinism] \
+                     [--check-sim-ops] \
                      [--lint [--fix] [--caps PROFILE|FILE|sweep]] \
                      [--traffic APP|all [--load knee|MOPS|a:b:n] [--slo US] [--apps-json PATH]] \
                      [--txn PROFILE|all [--mode optimistic|locked|both] [--load ...]]"
@@ -656,6 +459,9 @@ fn main() {
         shards: shards.unwrap_or_else(|| cores().min(8)),
         scale,
     };
+    if check_sim_ops && scale.paper {
+        usage_error("--check-sim-ops: the sim_ops pins are laptop-scale; drop --paper-scale");
+    }
     let sweep = match (traffic_apps, txn_profiles) {
         (Some(_), Some(_)) => usage_error("--traffic and --txn are separate modes; pick one"),
         (Some(apps), None) => Some(Sweep::Traffic(apps)),
@@ -663,9 +469,9 @@ fn main() {
         (None, None) => None,
     };
     if let Some(sweep) = &sweep {
-        if do_lint || do_fix || compare_path.is_some() || !specs.is_empty() {
+        if do_lint || do_fix || check_sim_ops || !specs.is_empty() {
             usage_error(format!(
-                "--{} runs a load sweep; drop --lint/--fix/--bench-compare/ids",
+                "--{} runs a load sweep; drop --lint/--fix/--check-sim-ops/ids",
                 sweep.name()
             ));
         }
@@ -679,12 +485,12 @@ fn main() {
     if do_check {
         let gate: Vec<&ExpSpec> = EXPERIMENTS.iter().filter(|s| s.has(Tag::Gate)).collect();
         check_determinism("experiment", scale, |c| render_all(&run_groups(&gate, c)));
-        if specs.is_empty() && compare_path.is_none() {
+        if specs.is_empty() && !check_sim_ops {
             return;
         }
     }
-    if let Some(path) = &compare_path {
-        bench_compare(path, &ctx);
+    if check_sim_ops {
+        run_sim_ops_check(&ctx);
         if specs.is_empty() {
             return;
         }
@@ -703,29 +509,14 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
 
-    let total_start = Instant::now();
-    let jobs = ctx.jobs.min(specs.len());
-    let runs = run_groups(&specs, &ctx);
-    let total_wall_ms = total_start.elapsed().as_secs_f64() * 1e3;
-
-    for r in &runs {
-        for e in &r.experiments {
-            println!("{}", e.render());
-            if let Some(dir) = &out_dir {
-                let path = dir.join(format!("{}.dat", e.id));
-                std::fs::write(&path, e.data_file()).expect("write data file");
-                if let Some(gp) = e.gnuplot() {
-                    std::fs::write(dir.join(format!("{}.gp", e.id)), gp)
-                        .expect("write gnuplot script");
-                }
+    for e in run_groups(&specs, &ctx).iter().flatten() {
+        println!("{}", e.render());
+        if let Some(dir) = &out_dir {
+            let path = dir.join(format!("{}.dat", e.id));
+            std::fs::write(&path, e.data_file()).expect("write data file");
+            if let Some(gp) = e.gnuplot() {
+                std::fs::write(dir.join(format!("{}.gp", e.id)), gp).expect("write gnuplot script");
             }
         }
-        eprintln!("[{} done in {:.1}ms]", r.id, r.wall_ms);
-    }
-    eprintln!("[total {:.1}ms over {jobs} worker(s)]", total_wall_ms);
-    if let Some(path) = &json_path {
-        std::fs::write(path, bench_json(&runs, total_wall_ms, jobs, ctx.shards))
-            .expect("write bench json");
-        eprintln!("[wrote {}]", path.display());
     }
 }

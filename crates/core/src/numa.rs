@@ -34,7 +34,6 @@ pub struct SocketMesh {
     mode: NumaMode,
     sockets: usize,
     conns: HashMap<(usize, usize, usize), ConnId>,
-    ipc_hop: SimTime,
 }
 
 /// A routing decision: which connection to use and the CPU-side costs to
@@ -77,13 +76,7 @@ impl SocketMesh {
                 }
             }
         }
-        SocketMesh { mode, sockets, conns, ipc_hop: DEFAULT_IPC_HOP }
-    }
-
-    /// Override the proxy queue hop cost.
-    pub fn with_ipc_hop(mut self, hop: SimTime) -> Self {
-        self.ipc_hop = hop;
-        self
+        SocketMesh { mode, sockets, conns }
     }
 
     /// The routing mode.
@@ -126,8 +119,8 @@ impl SocketMesh {
                     // both ways, then run fully affine.
                     Route {
                         conn: self.conns[&(remote_socket, remote_machine, remote_socket)],
-                        pre: self.ipc_hop,
-                        post: self.ipc_hop,
+                        pre: DEFAULT_IPC_HOP,
+                        post: DEFAULT_IPC_HOP,
                     }
                 }
             }

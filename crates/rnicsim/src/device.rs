@@ -68,11 +68,6 @@ impl Rnic {
         &self.cfg
     }
 
-    /// Number of ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
-
     /// Inspect a port's resources (utilization diagnostics).
     pub fn port(&self, port: usize) -> &Port {
         &self.ports[port]

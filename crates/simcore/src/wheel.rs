@@ -1,10 +1,9 @@
-//! Hierarchical timing wheel for far-future timer events.
+//! Hierarchical timing wheel: the storage of every
+//! [`EventQueue`](crate::EventQueue).
 //!
-//! The two-level [`EventQueue`](crate::EventQueue) keeps a sorted *near*
-//! batch for the short hops that dominate closed-loop simulation. Open-loop
-//! traffic flips the profile: millions of Poisson arrival timers sit far in
-//! the future, and a `BinaryHeap` pays a log-time sift on every one of them.
-//! The wheel replaces the heap with hashed insertion: a timestamp is split
+//! Open-loop traffic keeps millions of Poisson arrival timers pending far
+//! in the future, and a `BinaryHeap` pays a log-time sift on every one of
+//! them. The wheel replaces the heap with hashed insertion: a timestamp is split
 //! into its picosecond *granule* (`t >> G_BITS`) and the granule is hashed
 //! into one of [`LEVELS`] levels of [`SLOTS`] slots each, Varghese-style. A
 //! push is O(1); ordering work is deferred until a slot actually becomes the

@@ -70,7 +70,7 @@ fn wheel_matches_heap_under_insert_advance() {
                     };
                     // Sometimes a run of exact ties at the chosen time —
                     // their seq order must survive slot sorting and
-                    // near/far splits.
+                    // level cascades.
                     let run = if rng.gen_bool(0.3) { 1 + rng.gen_range(6) } else { 1 };
                     for _ in 0..run {
                         wheel.push(SimTime::from_ps(at), seq, seq);

@@ -351,11 +351,6 @@ pub fn run_txn_point(base: &TxnTrafficConfig, offered_mops: f64) -> SweepPoint {
     }
 }
 
-/// Sweep `base` over offered loads, in order.
-pub fn txn_sweep(base: &TxnTrafficConfig, loads: &[f64]) -> Vec<SweepPoint> {
-    loads.iter().map(|&l| run_txn_point(base, l)).collect()
-}
-
 /// The capacity knee of one txn configuration under a p99 SLO.
 pub fn find_txn_knee(base: &TxnTrafficConfig, slo: SimTime) -> Knee {
     find_knee_with(|load| run_txn_point(base, load), slo)

@@ -6,7 +6,6 @@
 //! `cluster::shard_plan` places whole pods per shard and `--shards N`
 //! runs are byte-identical to serial ones.
 
-use crate::protocol::staging_window;
 use crate::service::staging_bytes;
 use crate::table::TxnTable;
 use cluster::{ConnId, Endpoint, Testbed};
@@ -51,14 +50,4 @@ pub fn build_pod(
         .map(|_| tb.connect(Endpoint::affine(client, 0), Endpoint::affine(server, 0)))
         .collect();
     PodSetup { client, server, table, conns, staging }
-}
-
-impl PodSetup {
-    /// Staging byte offset of slot `s`'s window (mirrors the service's
-    /// internal layout; useful for driving a bare [`TxnMachine`]).
-    ///
-    /// [`TxnMachine`]: crate::protocol::TxnMachine
-    pub fn slot_window(&self, s: usize, cap_reads: usize) -> u64 {
-        s as u64 * staging_window(cap_reads, self.table.stride())
-    }
 }

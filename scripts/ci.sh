@@ -73,8 +73,8 @@ done
 
 echo "== micro set: --shards 1 and --shards 3 render identical stdout =="
 # The micro set's fig6/fig8 cells are multi-component testbeds, and three
-# shards deal their components unevenly; timing goes to stderr, so the
-# rendered stdout must match byte for byte.
+# shards deal their components unevenly, so the rendered stdout must
+# match byte for byte.
 m1=$(cargo run --release --offline -p bench -- micro --shards 1)
 m3=$(cargo run --release --offline -p bench -- micro --shards 3)
 cmp <(printf '%s\n' "$m1") <(printf '%s\n' "$m3") || {
@@ -82,10 +82,10 @@ cmp <(printf '%s\n' "$m1") <(printf '%s\n' "$m3") || {
   exit 1
 }
 
-echo "== bench-compare (sim_ops must match committed BENCH_engine.json) =="
-# --serial: the committed baseline was recorded serially, so wall-time
-# comparisons are apples-to-apples (sim_ops are identical either way).
-cargo run --release --offline -p bench -- --serial --bench-compare BENCH_engine.json
+echo "== sim_ops pins (every pinned registry row must match exactly) =="
+# Simulated work is deterministic, so each pinned experiment's sim_ops
+# must equal its bench::EXPERIMENTS pin exactly; any drift fails.
+cargo run --release --offline -p bench -- --serial --check-sim-ops
 
 echo "== static verb analysis (verbcheck over every experiment program) =="
 cargo run --release --offline -p bench -- --lint all
