@@ -20,7 +20,7 @@
 use cluster::{run_clients, Client, ClusterConfig, ConnId, Endpoint, Step, Testbed};
 use remem::RemoteSequencer;
 use rnicsim::{CqeStatus, MrId, RKey, Sge, WorkRequest};
-use simcore::{Meter, SimRng, SimTime};
+use simcore::{Meter, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::{scan_log, Record};
@@ -45,7 +45,7 @@ pub struct DlogConfig {
     pub numa: bool,
     /// Cluster size; the last machine hosts the global log.
     pub machines: usize,
-    /// Run seed.
+    /// Run seed. Appends draw no randomness, so it does not change the run.
     pub seed: u64,
 }
 
@@ -195,6 +195,12 @@ pub fn verb_program(cfg: &DlogConfig) -> verbcheck::VerbProgram {
 
 /// Run the distributed log experiment and verify the resulting log.
 pub fn run_dlog(cfg: &DlogConfig) -> DlogReport {
+    append(cfg).0
+}
+
+/// Run the engines to completion and verify the log; also returns the
+/// testbed and the log's region so a caller can replay it.
+fn append(cfg: &DlogConfig) -> (DlogReport, Testbed, MrId) {
     assert!(cfg.machines >= 2);
     let log_machine = cfg.machines - 1;
     let mut tb = Testbed::new(ClusterConfig { machines: cfg.machines, ..Default::default() });
@@ -205,7 +211,6 @@ pub fn run_dlog(cfg: &DlogConfig) -> DlogReport {
     let counter = tb.register(log_machine, 0, 64);
 
     let meter = Rc::new(RefCell::new(Meter::new(SimTime::from_us(20))));
-    let root_rng = SimRng::new(cfg.seed);
     let mut clients: Vec<Box<dyn Client>> = Vec::new();
     for e in 0..cfg.engines {
         let machine = e % (cfg.machines - 1);
@@ -222,7 +227,6 @@ pub fn run_dlog(cfg: &DlogConfig) -> DlogReport {
             Endpoint { machine, port: socket, core_socket: 1 - socket }
         };
         let conn = tb.connect(client_ep, Endpoint::affine(log_machine, 0));
-        let _ = root_rng.split(e as u64); // reserved for future jittered workloads
         clients.push(Box::new(Engine {
             id: e as u32,
             machine,
@@ -260,7 +264,7 @@ pub fn run_dlog(cfg: &DlogConfig) -> DlogReport {
         && per_engine.iter().all(|&c| c == cfg.records_per_engine);
 
     let mops = meter.borrow().mops();
-    DlogReport { mops, makespan, records: total_records, verified }
+    (DlogReport { mops, makespan, records: total_records, verified }, tb, log)
 }
 
 #[cfg(test)]
@@ -349,52 +353,13 @@ pub fn recovery_scan(
 }
 
 /// Run a log workload, then crash-and-recover: returns the append report
-/// plus the recovery time and whether the replayed state matches.
+/// (set up and verified exactly as [`run_dlog`]'s) plus the time the
+/// replay took.
 pub fn run_dlog_with_recovery(cfg: &DlogConfig) -> (DlogReport, SimTime) {
-    let log_machine = cfg.machines - 1;
-    let mut tb = Testbed::new(ClusterConfig { machines: cfg.machines, ..Default::default() });
-    let total_records = cfg.records_per_engine * cfg.engines as u64;
-    let log_bytes = total_records * cfg.record_bytes() + 4096;
-    let log = tb.register(log_machine, 0, log_bytes);
-    let counter = tb.register(log_machine, 0, 64);
-    let meter = Rc::new(RefCell::new(Meter::new(SimTime::from_us(20))));
-    let mut clients: Vec<Box<dyn Client>> = Vec::new();
-    for e in 0..cfg.engines {
-        let machine = e % (cfg.machines - 1);
-        let socket = (e / (cfg.machines - 1)) % 2;
-        let staging =
-            tb.register(machine, socket, (cfg.batch as u64 + 1) * cfg.record_bytes() + 4096);
-        let scratch = tb.register(machine, socket, 64);
-        let conn = tb.connect(Endpoint::affine(machine, socket), Endpoint::affine(log_machine, 0));
-        clients.push(Box::new(Engine {
-            id: e as u32,
-            machine,
-            conn,
-            batch: cfg.batch.max(1),
-            body_len: cfg.body_len,
-            record_bytes: cfg.record_bytes(),
-            total: cfg.records_per_engine,
-            produced: 0,
-            staging,
-            scratch,
-            log_rkey: RKey(log.0 as u64),
-            seq: RemoteSequencer { rkey: RKey(counter.0 as u64), offset: 0 },
-            numa: cfg.numa,
-            meter: Rc::clone(&meter),
-        }));
-    }
-    let makespan = run_clients(&mut tb, &mut clients, SimTime::MAX);
-    drop(clients);
-    let (records, recovery) =
-        recovery_scan(&tb, log_machine, log, total_records * cfg.record_bytes());
-    let mut per_engine = vec![0u64; cfg.engines];
-    for r in &records {
-        per_engine[r.engine as usize] += 1;
-    }
-    let verified = records.len() as u64 == total_records
-        && per_engine.iter().all(|&c| c == cfg.records_per_engine);
-    let mops = meter.borrow().mops();
-    (DlogReport { mops, makespan, records: total_records, verified }, recovery)
+    let (report, tb, log) = append(cfg);
+    let (_, recovery) =
+        recovery_scan(&tb, cfg.machines - 1, log, report.records * cfg.record_bytes());
+    (report, recovery)
 }
 
 #[cfg(test)]
@@ -416,6 +381,24 @@ mod recovery_tests {
             "recovery {recovery} vs append {}",
             report.makespan
         );
+    }
+
+    #[test]
+    fn recovery_appends_exactly_like_run_dlog() {
+        // At `numa: false` engines run on oblivious endpoints; the
+        // recovery run must append over the same set-up.
+        let cfg = DlogConfig {
+            engines: 6,
+            batch: 4,
+            records_per_engine: 200,
+            numa: false,
+            ..Default::default()
+        };
+        let (report, _) = run_dlog_with_recovery(&cfg);
+        let plain = run_dlog(&cfg);
+        assert_eq!(report.mops, plain.mops);
+        assert_eq!(report.makespan, plain.makespan);
+        assert!(report.verified && plain.verified);
     }
 
     #[test]

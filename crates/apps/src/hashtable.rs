@@ -1,22 +1,24 @@
 //! Application 1: the disaggregated hashtable (§IV-B, Figs 11–13).
 //!
 //! Request processing (front-ends) and storage (back-end) are decoupled;
-//! front-ends reach the back-end table purely with one-sided verbs. The
-//! insert path is the paper's multi-version scheme: fetch-and-add the
-//! entry's version word, then RDMA-Write the key+value — no back-end CPU.
+//! front-ends reach the back-end table purely with one-sided verbs, so no
+//! back-end CPU is involved.
 //!
 //! An insert is one RDMA Write of `[version | key | value]` into the
-//! key's slot (the FAA-per-insert multi-version variant is available as
-//! an ablation — it pins throughput to the NIC's 2.35 MOPS atomic unit,
-//! which is why the paper reserves atomics for coordination, not data).
+//! key's slot. The paper's multi-version insert — fetch-and-add the
+//! entry's version word, then write the key and value — is the
+//! [`HtVariant::VersionedFaa`] ablation: it pins throughput to the NIC's
+//! 2.35 MOPS atomic unit, which is why the paper reserves atomics for
+//! coordination, not data.
 //!
 //! Optimization steps (matching Fig 12's breakdown):
 //!
 //! * **Basic** — NUMA-oblivious placement: the issuing core sits on the
 //!   socket opposite its NIC port, and entries land on whichever socket
 //!   the key hashes to, crossing QPI about half the time.
-//! * **+NUMA** — core/port/memory affinity with proxy-socket hand-off for
-//!   keys whose back-end socket doesn't match the front-end thread's.
+//! * **+NUMA** — core/port/memory affinity with proxy-socket hand-off
+//!   (one [`IPC_HOP`] each way) for keys whose back-end socket doesn't
+//!   match the front-end thread's.
 //! * **+Reorder(θ)** — the Zipf head (a configurable fraction of keys) is
 //!   promoted to a *hot area* organized in blocks; front-ends absorb hot
 //!   writes into a local shadow and flush a whole block under a remote
@@ -157,6 +159,14 @@ enum FeState {
     },
 }
 
+/// One-way cost of the §III-D proxy socket's shared-memory queue
+/// (enqueue, cache-line transfer to the other socket, dequeue). A
+/// NUMA-aware front-end hands a request for the other back-end socket to
+/// its local peer on that socket, paying this hop before the verb is
+/// posted and again after its completion, so the verb itself runs fully
+/// socket-affine.
+pub const IPC_HOP: SimTime = SimTime::from_ns(60);
+
 struct FrontEnd {
     socket: usize,
     /// Connection per back-end socket.
@@ -174,7 +184,6 @@ struct FrontEnd {
     block_counts: HashMap<u64, usize>,
     ops_left: u64,
     state: FeState,
-    ipc_hop: SimTime,
     rng: SimRng,
     shared: Rc<RefCell<Shared>>,
 }
@@ -217,7 +226,7 @@ impl FrontEnd {
                 if target_socket == self.socket {
                     (self.conns[target_socket], SimTime::ZERO)
                 } else {
-                    (self.conns[target_socket], self.ipc_hop)
+                    (self.conns[target_socket], IPC_HOP)
                 }
             }
         }
@@ -526,7 +535,6 @@ pub fn run_hashtable_debug(cfg: &HtConfig) -> (HtReport, Testbed) {
             block_counts: HashMap::new(),
             ops_left: (cfg.ops_per_fe / cfg.pipeline_depth.max(1) as u64).max(1),
             state: FeState::NextOp,
-            ipc_hop: remem::DEFAULT_IPC_HOP,
             rng: root_rng.split(1000 + lane as u64),
             shared: Rc::clone(&shared),
         }));
@@ -648,67 +656,6 @@ pub fn verb_program(cfg: &HtConfig) -> verbcheck::VerbProgram {
     p
 }
 
-/// Single-front-end correctness harness: runs inserts and then checks the
-/// back-end table really contains the entries (used by tests/examples).
-pub fn verify_hashtable_contents(keys_to_check: u64) -> bool {
-    let cfg = HtConfig {
-        front_ends: 1,
-        keys: 1 << 12,
-        ops_per_fe: 600,
-        variant: HtVariant::Numa,
-        ..Default::default()
-    };
-    let backend = cfg.machines - 1;
-    let mut tb = Testbed::new(ClusterConfig { machines: cfg.machines, ..Default::default() });
-    let per_socket = (cfg.keys / 2 + 1) * SLOT_BYTES;
-    let table = [tb.register(backend, 0, per_socket), tb.register(backend, 1, per_socket)];
-    let conn = [
-        tb.connect(Endpoint::affine(0, 0), Endpoint::affine(backend, 0)),
-        tb.connect(Endpoint::affine(0, 1), Endpoint::affine(backend, 1)),
-    ];
-    let staging = tb.register(0, 0, 4096);
-    let spec = KvSpec { keys: cfg.keys, value_len: cfg.value_len, ..Default::default() };
-    let mut stream = KvStream::new(spec, SimRng::new(7));
-    let mut written = HashMap::new();
-    let mut t = SimTime::ZERO;
-    for _ in 0..cfg.ops_per_fe {
-        let KvOp::Insert { key, value } = stream.next_op() else { unreachable!() };
-        let socket = (key & 1) as usize;
-        let slot = (key >> 1) * SLOT_BYTES;
-        // FAA version then write entry — the cold path.
-        let wr = WorkRequest {
-            wr_id: WrId(key),
-            kind: VerbKind::FetchAdd { delta: 1 },
-            sgl: Sge::new(staging, 0, 8).into(),
-            remote: Some((RKey(table[socket].0 as u64), slot)),
-            signaled: true,
-        };
-        let cqe = tb.post_one(t, conn[socket], wr);
-        let mut buf = key.to_le_bytes().to_vec();
-        buf.extend_from_slice(&value);
-        tb.machine_mut(0).mem.write(staging, 16, &buf);
-        let wr2 = WorkRequest::write(
-            key,
-            Sge::new(staging, 16, buf.len() as u64),
-            RKey(table[socket].0 as u64),
-            slot + 8,
-        );
-        let cqe2 = tb.post_one(cqe.at, conn[socket], wr2);
-        t = cqe2.at;
-        written.insert(key, value);
-    }
-    // Check a sample of written keys.
-    written.iter().take(keys_to_check as usize).all(|(&key, value)| {
-        let socket = (key & 1) as usize;
-        let slot = (key >> 1) * SLOT_BYTES;
-        let mem = &tb.machine(backend).mem;
-        let version = mem.load_u64(table[socket], slot);
-        let stored_key = mem.load_u64(table[socket], slot + 8);
-        let stored_value = mem.read(table[socket], slot + 16, value.len() as u64);
-        version >= 1 && stored_key == key && &stored_value == value
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,11 +668,6 @@ mod tests {
             variant,
             ..Default::default()
         })
-    }
-
-    #[test]
-    fn contents_survive_the_protocol() {
-        assert!(verify_hashtable_contents(200));
     }
 
     #[test]

@@ -49,18 +49,6 @@ impl Default for NumaPenalties {
     }
 }
 
-impl NumaPenalties {
-    /// Sum of every penalty that can hit a small Write (worst placement).
-    pub fn worst_write(&self) -> SimTime {
-        self.mmio_cross + self.cqe_cross + self.local_buffer_cross + self.remote_write_cross
-    }
-
-    /// Sum of every penalty that can hit a small Read (worst placement).
-    pub fn worst_read(&self) -> SimTime {
-        self.mmio_cross + self.cqe_cross + self.local_buffer_cross + self.remote_read_cross
-    }
-}
-
 /// Two-sided (channel semantics) RPC server costs.
 #[derive(Clone, Debug)]
 pub struct RpcConfig {
@@ -149,7 +137,8 @@ mod tests {
     fn worst_case_penalties_are_sane() {
         let n = NumaPenalties::default();
         // Worst-case write penalty ≈ 680 ns on a 1.17 us base: ~+58 %.
-        assert_eq!(n.worst_write(), SimTime::from_ns(680));
-        assert_eq!(n.worst_read(), SimTime::from_ns(680));
+        let worst = n.mmio_cross + n.cqe_cross + n.local_buffer_cross;
+        assert_eq!(worst + n.remote_write_cross, SimTime::from_ns(680));
+        assert_eq!(worst + n.remote_read_cross, SimTime::from_ns(680));
     }
 }

@@ -198,11 +198,6 @@ impl<F: FnMut(&mut Testbed, SimTime, u64, u64) -> SimTime> BatchLoop<F> {
     pub fn batch_completions(&self) -> &[SimTime] {
         &self.batch_completions
     }
-
-    /// Operations issued so far.
-    pub fn ops_issued(&self) -> u64 {
-        self.issued
-    }
 }
 
 impl<F: FnMut(&mut Testbed, SimTime, u64, u64) -> SimTime> Client for BatchLoop<F> {
@@ -337,7 +332,6 @@ mod tests {
             run_clients(&mut tb, &mut clients, SimTime::MAX);
         }
         assert_eq!(*lens.borrow(), vec![(0, 4), (4, 4), (8, 2)]);
-        assert_eq!(bl.ops_issued(), 10);
         // One coalesced completion per doorbell, serialized at 1us each.
         assert_eq!(
             bl.batch_completions(),

@@ -382,11 +382,9 @@ impl Testbed {
             // Requester pipeline: QPC reloads and MTT-miss fills stall the
             // WQE (occupancy); the rest of each miss's latency overlaps
             // with later WQEs and is added after the pipeline stage.
-            // Translations go through the QP's memo, so a run of touches
-            // to one page skips the MTT LRU.
             let mut misses = 0u64;
             for sge in &wr.sgl {
-                misses += cm.rnic.mtt_touch_qp(client_qpn, sge.mr, sge.offset, sge.len);
+                misses += cm.rnic.mtt.access(sge.mr, sge.offset, sge.len);
             }
             let stall = cm.rnic.qpc_touch(client_qpn) + cfg.rnic.mtt_miss_occupancy * misses;
             let miss_lat = (cfg.rnic.mtt_miss_penalty - cfg.rnic.mtt_miss_occupancy) * misses;
@@ -403,7 +401,7 @@ impl Testbed {
             let mut r_miss_lat = SimTime::ZERO;
             let remote_region_socket = wr.remote.map(|(rkey, off)| {
                 let mr = MrId(rkey.0 as u32);
-                let r_misses = sm.rnic.mtt_touch_qp(server_qpn, mr, off, payload);
+                let r_misses = sm.rnic.mtt.access(mr, off, payload);
                 r_stall += cfg.rnic.mtt_miss_occupancy * r_misses;
                 r_miss_lat = (cfg.rnic.mtt_miss_penalty - cfg.rnic.mtt_miss_occupancy) * r_misses;
                 sm.mem.region(mr).expect("validated").socket
@@ -1203,9 +1201,9 @@ mod tests {
     /// trains, backed and unbacked regions, two interleaved connections)
     /// folded into one FNV digest: the CQE train, both memory images, and
     /// every NIC's MTT/QPC hit/miss counters. The constant is the digest
-    /// the translation-memo + bulk data-effect pipeline and the plain
-    /// `MttCache::access` + staged gather/scatter pipeline both produced,
-    /// so any change in timing, data effects or cache accounting moves it.
+    /// the bulk data-effect pipeline and the staged gather/scatter
+    /// pipeline both produced, so any change in timing, data effects or
+    /// cache accounting moves it.
     #[test]
     fn mixed_workload_matches_pinned_digest() {
         let mut tb = Testbed::new(ClusterConfig::two_machines());

@@ -7,18 +7,15 @@
 //! * [`vectorio`] — the three batching strategies of §III-A (`SP`,
 //!   `Doorbell`, `SGL`) behind one entry point, with CPU-cost accounting.
 //! * [`consolidation`] — the §III-C remote burst buffer: absorb θ small
-//!   writes per aligned block, flush once (plus lease timeouts and a
-//!   hot-range hint-style API).
-//! * [`numa`] — §III-D socket-matched connection meshes and the proxy
-//!   socket router that avoids both QP explosion and QPI crossings.
+//!   writes per aligned block, flush once (plus lease timeouts).
 //! * [`lock`] — §III-E remote spinlocks over RDMA CAS, with exponential
 //!   backoff, plus the two-sided RPC baseline.
 //! * [`sequencer`] — remote fetch-and-add sequencers (and RPC baseline);
 //!   `next_n` doubles as the distributed log's space reservation.
-//! * [`versioned`] — the multi-version remote entry used for cold keys in
-//!   the disaggregated hashtable.
-//! * [`ring`] — a bounded one-sided MPSC ring buffer, generalizing the
-//!   log's reserve-then-write idiom into a reusable queue.
+//!
+//! The §III-D proxy socket and the §IV-B multi-version insert are not
+//! separate types here: `apps::hashtable` reproduces them in place (its
+//! front-end's proxy route and the `HtVariant::VersionedFaa` ablation).
 //!
 //! Everything runs against the simulated [`cluster::Testbed`]; swap in a
 //! real ibverbs transport by reimplementing that layer.
@@ -28,16 +25,10 @@
 
 pub mod consolidation;
 pub mod lock;
-pub mod numa;
-pub mod ring;
 pub mod sequencer;
 pub mod vectorio;
-pub mod versioned;
 
 pub use consolidation::{ConsolidationBuffer, ConsolidationStats};
 pub use lock::{Acquired, Backoff, RemoteSpinlock, RpcLock};
-pub use numa::{NumaMode, Route, SocketMesh, DEFAULT_IPC_HOP};
-pub use ring::{PushError, RemoteRing, RingConsumer, RingProducer};
 pub use sequencer::{RemoteSequencer, RpcSequencer, Ticket};
 pub use vectorio::{batched_write, BatchOutcome, RemoteDst, Strategy};
-pub use versioned::{VersionedEntry, VersionedRead, VersionedWrite};

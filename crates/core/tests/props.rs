@@ -2,10 +2,7 @@
 //! deterministic [`SimRng`] (fixed seeds; no external framework needed).
 
 use cluster::{ClusterConfig, ConnId, Endpoint, Testbed};
-use remem::{
-    batched_write, Backoff, ConsolidationBuffer, NumaMode, RemoteDst, RemoteSequencer, SocketMesh,
-    Strategy, VersionedEntry,
-};
+use remem::{batched_write, Backoff, ConsolidationBuffer, RemoteDst, RemoteSequencer, Strategy};
 use rnicsim::{MrId, RKey, Sge};
 use simcore::{SimRng, SimTime};
 
@@ -106,28 +103,6 @@ fn sequencer_ranges_tile() {
     }
 }
 
-/// Versioned entries: after any write sequence, a read returns the last
-/// written value with the highest version.
-#[test]
-fn versioned_read_your_writes() {
-    let mut rng = SimRng::new(0x2104);
-    for _ in 0..24 {
-        let values: Vec<[u8; 8]> =
-            (0..1 + rng.gen_range(11)).map(|_| rng.next_u64().to_le_bytes()).collect();
-        let slots = 2 + rng.gen_range(4);
-        let (mut tb, _src, staging, dst, conn) = setup();
-        let entry = VersionedEntry { rkey: RKey(dst.0 as u64), base: 4096, slots, value_len: 8 };
-        let mut t = SimTime::ZERO;
-        for v in &values {
-            let w = entry.write(&mut tb, conn, t, v, staging, 0);
-            t = w.at;
-        }
-        let r = entry.read(&mut tb, conn, t, staging, 0).expect("committed");
-        assert_eq!(r.version, values.len() as u64);
-        assert_eq!(&r.value, values.last().unwrap());
-    }
-}
-
 /// Backoff delays are bounded by max + jitter and non-decreasing in
 /// attempt (up to the cap).
 #[test]
@@ -143,35 +118,5 @@ fn backoff_bounded() {
         let cap = SimTime::from_us(cap_us);
         assert!(d <= cap + cap / 4, "delay {} over cap {}", d, cap);
         assert!(d >= b.base.min(cap));
-    }
-}
-
-/// The proxy mesh routes every (socket, machine, socket) triple to a
-/// connection whose server is on the requested machine, and matched
-/// requests never pay hand-off costs.
-#[test]
-fn mesh_routing_total() {
-    for machines in 2..6 {
-        for mode in [NumaMode::DirectCross, NumaMode::Proxy, NumaMode::AllToAll] {
-            let mut tb = Testbed::new(ClusterConfig { machines, ..Default::default() });
-            let mesh = SocketMesh::build(&mut tb, 0, mode);
-            for rm in 1..machines {
-                for fs in 0..2 {
-                    for rs in 0..2 {
-                        let route = mesh.route(fs, rm, rs);
-                        let server = tb.server_of(route.conn);
-                        assert_eq!(server.machine, rm);
-                        if fs == rs {
-                            assert_eq!(route.pre, SimTime::ZERO);
-                            assert_eq!(route.post, SimTime::ZERO);
-                        }
-                        if mode == NumaMode::AllToAll || mode == NumaMode::Proxy {
-                            // Affine modes always land on the requested socket.
-                            assert_eq!(server.port % 2, rs);
-                        }
-                    }
-                }
-            }
-        }
     }
 }

@@ -91,11 +91,6 @@ impl DramModel {
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.conflicts, self.opens)
     }
-
-    /// Precharge everything (rank idle / refresh).
-    pub fn precharge_all(&mut self) {
-        self.open_rows.fill(None);
-    }
 }
 
 #[cfg(test)]
@@ -172,13 +167,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn precharge_closes_rows() {
-        let mut d = DramModel::paper_default();
-        d.access(0);
-        d.precharge_all();
-        assert_eq!(d.access(0), DramTiming::default().row_open);
     }
 }

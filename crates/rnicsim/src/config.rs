@@ -257,11 +257,6 @@ impl RnicConfig {
         payload + segments * self.header_bytes
     }
 
-    /// PCIe serialization time for `bytes`.
-    pub fn pcie_transfer(&self, bytes: u64) -> SimTime {
-        SimTime::from_ps(bytes * self.pcie_ps_per_byte)
-    }
-
     /// Memory span (bytes) that the MTT cache can translate without misses.
     pub fn mtt_coverage_bytes(&self) -> u64 {
         self.mtt_cache_entries as u64 * self.page_bytes
@@ -302,12 +297,6 @@ mod tests {
     #[test]
     fn link_rate_is_200ps_per_byte() {
         assert_eq!(RnicConfig::default().link_ps_per_byte(), 200);
-    }
-
-    #[test]
-    fn pcie_transfer_scales() {
-        let c = RnicConfig::default();
-        assert_eq!(c.pcie_transfer(1000).as_ps(), 156_000);
     }
 
     #[test]

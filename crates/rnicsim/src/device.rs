@@ -7,8 +7,8 @@
 //! chaining the returned times.
 
 use crate::config::RnicConfig;
-use crate::mtt::{MttCache, TranslationMemo};
-use crate::types::{MrId, QpNum};
+use crate::mtt::MttCache;
+use crate::types::QpNum;
 use simcore::{BandwidthLink, KServer, LruSet, SimTime};
 
 /// Per-port contended resources.
@@ -40,8 +40,6 @@ pub struct Rnic {
     pub qpc: LruSet,
     /// Port binding per QP, indexed by `QpNum` (QP numbers are dense).
     qp_port: Vec<u32>,
-    /// Last page translation per QP (see [`MttCache::access_with_memo`]).
-    qp_memo: Vec<TranslationMemo>,
 }
 
 impl Rnic {
@@ -60,7 +58,7 @@ impl Rnic {
             .collect();
         let mtt = MttCache::new(cfg.mtt_cache_entries, cfg.page_bytes);
         let qpc = LruSet::new(cfg.qpc_cache_entries);
-        Rnic { cfg, ports, mtt, qpc, qp_port: Vec::new(), qp_memo: Vec::new() }
+        Rnic { cfg, ports, mtt, qpc, qp_port: Vec::new() }
     }
 
     /// The configuration this NIC was built with.
@@ -79,7 +77,6 @@ impl Rnic {
         assert!(port < self.ports.len(), "no such port");
         let qpn = QpNum(self.qp_port.len() as u32);
         self.qp_port.push(port as u32);
-        self.qp_memo.push(TranslationMemo::EMPTY);
         qpn
     }
 
@@ -102,20 +99,6 @@ impl Rnic {
         } else {
             self.cfg.qpc_miss_penalty
         }
-    }
-
-    /// Touch MTT entries for a span on behalf of `qpn`; returns the number
-    /// of misses. Each miss stalls the pipeline for `mtt_miss_occupancy`
-    /// and adds `mtt_miss_penalty` of end-to-end latency. The QP's
-    /// translation memo accelerates the touch: a QP streaming through one
-    /// page (the dominant pattern inside a doorbell batch) skips the MTT
-    /// LRU entirely on repeat touches. Hit/miss counters and recency are
-    /// identical to a plain [`MttCache::access`] — the memo only
-    /// short-circuits touches it can prove would hit with unchanged
-    /// recency.
-    pub fn mtt_touch_qp(&mut self, qpn: QpNum, mr: MrId, offset: u64, len: u64) -> u64 {
-        let memo = &mut self.qp_memo[qpn.0 as usize];
-        self.mtt.access_with_memo(memo, mr, offset, len)
     }
 
     /// CPU rings the doorbell: one MMIO regardless of how many WQEs were
@@ -201,6 +184,7 @@ impl Rnic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::MrId;
 
     fn nic() -> Rnic {
         Rnic::new(RnicConfig::default())
@@ -280,34 +264,9 @@ mod tests {
     #[test]
     fn mtt_touch_counts_misses() {
         let mut n = nic();
-        let q = n.create_qp(0);
-        assert_eq!(n.mtt_touch_qp(q, MrId(3), 0, 64), 1);
-        assert_eq!(n.mtt_touch_qp(q, MrId(3), 0, 64), 0);
-        assert_eq!(n.mtt_touch_qp(q, MrId(3), 0, 64 * 1024), 15); // 16 pages, 1 warm
-    }
-
-    /// The per-QP memo against the plain `MttCache::access` path: same
-    /// per-touch miss counts and same counters across interleaved QPs.
-    #[test]
-    fn mtt_touch_qp_is_indistinguishable_from_mtt_touch() {
-        let mut plain = nic();
-        let mut memoed = nic();
-        let qps = [memoed.create_qp(0), memoed.create_qp(0)];
-        let mut x = 3u64;
-        for i in 0..5_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let qp = qps[(x % 2) as usize];
-            let mr = MrId(((x >> 4) % 3) as u32);
-            let off =
-                if x.is_multiple_of(3) { (x >> 16) % (1 << 22) } else { (i * 64) % (1 << 22) };
-            let len = if x.is_multiple_of(11) { 20_000 } else { 64 };
-            assert_eq!(
-                plain.mtt.access(mr, off, len),
-                memoed.mtt_touch_qp(qp, mr, off, len),
-                "divergence at step {i}"
-            );
-        }
-        assert_eq!(plain.mtt.stats(), memoed.mtt.stats());
+        assert_eq!(n.mtt.access(MrId(3), 0, 64), 1);
+        assert_eq!(n.mtt.access(MrId(3), 0, 64), 0);
+        assert_eq!(n.mtt.access(MrId(3), 0, 64 * 1024), 15); // 16 pages, 1 warm
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod types;
 
 pub use config::{DeviceCaps, RnicConfig, PROFILES};
 pub use device::{Port, Rnic};
-pub use mtt::{MttCache, TranslationMemo};
+pub use mtt::MttCache;
 pub use types::{
     Completion, CqeStatus, InlineSgl, MrId, QpNum, RKey, Sge, VerbKind, WorkRequest, WrId,
     INLINE_SGES,

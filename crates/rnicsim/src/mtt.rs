@@ -9,33 +9,6 @@
 use crate::types::MrId;
 use simcore::LruSet;
 
-/// One requester's last page translation: `(MR, page)` encoded as the
-/// cache key. The device keeps one per QP so that a QP streaming through
-/// a buffer skips the MTT LRU entirely on repeat touches of the same page
-/// (see [`MttCache::access_with_memo`]). A memo is a pure accelerator —
-/// it never changes what hits or misses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TranslationMemo {
-    key: u64,
-}
-
-impl TranslationMemo {
-    /// A memo that matches nothing (MR ids are 24-bit, so the all-ones
-    /// key is unreachable).
-    pub const EMPTY: TranslationMemo = TranslationMemo { key: u64::MAX };
-
-    /// Forget the memoed translation (e.g. after deregistration).
-    pub fn invalidate(&mut self) {
-        *self = Self::EMPTY;
-    }
-}
-
-impl Default for TranslationMemo {
-    fn default() -> Self {
-        Self::EMPTY
-    }
-}
-
 /// LRU-cached page translations keyed by (MR, page index).
 pub struct MttCache {
     lru: LruSet,
@@ -54,44 +27,6 @@ impl MttCache {
     pub fn access(&mut self, mr: MrId, offset: u64, len: u64) -> u64 {
         let first = offset / self.page_bytes;
         let last = (offset + len.max(1) - 1) / self.page_bytes;
-        let mut misses = 0;
-        for page in first..=last {
-            if !self.lru.access(self.key(mr, page)) {
-                misses += 1;
-            }
-        }
-        misses
-    }
-
-    /// [`access`](Self::access) accelerated by a caller-held *translation
-    /// memo* — the key of the last page this requester translated, or
-    /// [`TranslationMemo::EMPTY`]. Small sequential runs hit the same page
-    /// over and over; when the memoed page is provably still the cache's
-    /// global MRU entry, the touch is accounted as a hit without probing
-    /// the LRU index at all. Recency order, hit/miss counters, and the
-    /// returned miss count are **identical** to the slow path: accessing
-    /// the MRU key is a hit that leaves recency unchanged, and any doubt
-    /// (multi-page span, another requester touched the cache since) falls
-    /// back to `access`.
-    pub fn access_with_memo(
-        &mut self,
-        memo: &mut TranslationMemo,
-        mr: MrId,
-        offset: u64,
-        len: u64,
-    ) -> u64 {
-        let first = offset / self.page_bytes;
-        let last = (offset + len.max(1) - 1) / self.page_bytes;
-        if first == last {
-            let key = self.key(mr, first);
-            if memo.key == key && self.lru.is_mru(key) {
-                self.lru.record_hits(1);
-                return 0;
-            }
-            memo.key = key;
-            return u64::from(!self.lru.access(key));
-        }
-        memo.key = self.key(mr, last);
         let mut misses = 0;
         for page in first..=last {
             if !self.lru.access(self.key(mr, page)) {
@@ -210,48 +145,6 @@ mod tests {
         let mut m = cache();
         m.warm(MrId(0), 0, 1 << 20); // 256 pages
         assert_eq!(m.access(MrId(0), 0, 1 << 20), 0);
-    }
-
-    /// The memo path must be observationally identical to the slow path:
-    /// same per-call miss counts, same counters, across interleaved QPs,
-    /// multi-page spans, and random jumps.
-    #[test]
-    fn memo_path_is_indistinguishable_from_slow_path() {
-        let mut plain = cache();
-        let mut memoed = cache();
-        let mut memos = [TranslationMemo::EMPTY; 3];
-        let mut x = 7u64;
-        for i in 0..20_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let qp = (x % 3) as usize;
-            let mr = MrId(((x >> 8) % 4) as u32);
-            let off =
-                if x.is_multiple_of(5) { (x >> 16) % (1 << 21) } else { (i * 32) % (1 << 21) };
-            let len = if x.is_multiple_of(7) { 16 * 1024 } else { 32 };
-            assert_eq!(
-                plain.access(mr, off, len),
-                memoed.access_with_memo(&mut memos[qp], mr, off, len),
-                "divergence at step {i}"
-            );
-        }
-        assert_eq!(plain.stats(), memoed.stats());
-    }
-
-    #[test]
-    fn memo_survives_warm_and_invalidate() {
-        let mut m = cache();
-        let mut memo = TranslationMemo::default();
-        assert_eq!(memo, TranslationMemo::EMPTY);
-        assert_eq!(m.access_with_memo(&mut memo, MrId(1), 0, 32), 1);
-        assert_eq!(m.access_with_memo(&mut memo, MrId(1), 32, 32), 0);
-        // Warming a different page moves the MRU: the memo must notice
-        // and fall back to a real (hit-counting) access.
-        m.warm(MrId(2), 0, 32);
-        assert_eq!(m.access_with_memo(&mut memo, MrId(1), 64, 32), 0);
-        memo.invalidate();
-        assert_eq!(memo, TranslationMemo::EMPTY);
-        assert_eq!(m.access_with_memo(&mut memo, MrId(1), 96, 32), 0);
-        assert_eq!(m.stats(), (3, 1));
     }
 
     #[test]

@@ -122,22 +122,6 @@ impl LruSet {
         }
     }
 
-    /// Whether `key` is the most-recently-used resident key. Fast paths
-    /// (translation memos, same-QP doorbell batches) use this to prove
-    /// that a full `access` would hit *and* leave recency unchanged, then
-    /// account the hit via [`record_hits`](Self::record_hits).
-    pub fn is_mru(&self, key: u64) -> bool {
-        self.head != NIL && self.nodes[self.head as usize].key == key
-    }
-
-    /// Count `n` hits without touching the structure. Only valid when the
-    /// caller has proved the accesses would hit with unchanged recency
-    /// (see [`is_mru`](Self::is_mru)); keeps fast-path statistics
-    /// identical to the slow path.
-    pub fn record_hits(&mut self, n: u64) {
-        self.hits += n;
-    }
-
     /// Number of resident keys.
     pub fn len(&self) -> usize {
         self.len
@@ -470,34 +454,6 @@ mod tests {
         assert_eq!(c.table.len(), 2 * CAP);
         assert!(c.nodes.len() <= CAP + 1);
         assert_eq!(c.len(), CAP);
-    }
-
-    #[test]
-    fn is_mru_tracks_last_touch() {
-        let mut c = LruSet::new(4);
-        c.access(7);
-        c.access(9);
-        assert!(c.is_mru(9));
-        assert!(!c.is_mru(7));
-        assert!(!c.is_mru(42)); // non-resident
-        c.access(7);
-        assert!(c.is_mru(7));
-    }
-
-    #[test]
-    fn record_hits_matches_slow_path_stats() {
-        let mut a = LruSet::new(4);
-        let mut b = LruSet::new(4);
-        for c in [&mut a, &mut b] {
-            c.access(1);
-        }
-        // Fast path: proven-MRU hit accounted without an index probe.
-        assert!(a.is_mru(1));
-        a.record_hits(1);
-        // Slow path: a full access of the same key.
-        b.access(1);
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.is_mru(1), b.is_mru(1));
     }
 
     /// Colliding probe chains survive eviction: backward-shift deletion

@@ -130,7 +130,6 @@ pub struct HtDriver {
     hot: [MrId; 2],
     zipf: ZipfAlias,
     rng: SimRng,
-    ipc_hop: SimTime,
     block_counts: Vec<u32>,
 }
 
@@ -144,7 +143,7 @@ impl HtDriver {
         } else if target_socket == self.socket {
             (self.conns[target_socket], target_socket, SimTime::ZERO)
         } else {
-            (self.conns[target_socket], target_socket, self.ipc_hop)
+            (self.conns[target_socket], target_socket, apps::hashtable::IPC_HOP)
         }
     }
 
@@ -468,7 +467,6 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
                         hot,
                         zipf: ZipfAlias::paper(HT_KEYS),
                         rng: root.split(2000 + widx as u64),
-                        ipc_hop: remem::DEFAULT_IPC_HOP,
                         block_counts: vec![0; 2 * RING_BLOCKS as usize],
                     })
                 }

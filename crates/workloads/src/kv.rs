@@ -48,23 +48,6 @@ impl Default for KvSpec {
     }
 }
 
-impl KvSpec {
-    /// YCSB workload A: 50 % updates, 50 % reads, Zipf 0.99.
-    pub fn ycsb_a(keys: u64) -> Self {
-        KvSpec { keys, write_fraction: 0.5, ..Default::default() }
-    }
-
-    /// YCSB workload B: 5 % updates, 95 % reads.
-    pub fn ycsb_b(keys: u64) -> Self {
-        KvSpec { keys, write_fraction: 0.05, ..Default::default() }
-    }
-
-    /// YCSB workload C: read-only.
-    pub fn ycsb_c(keys: u64) -> Self {
-        KvSpec { keys, write_fraction: 0.0, ..Default::default() }
-    }
-}
-
 /// A deterministic stream of KV operations.
 pub struct KvStream {
     spec: KvSpec,
@@ -138,6 +121,10 @@ mod tests {
         let writes = (0..10_000).filter(|_| matches!(s.next_op(), KvOp::Insert { .. })).count();
         let frac = writes as f64 / 10_000.0;
         assert!((frac - 0.3).abs() < 0.03, "write fraction {frac}");
+        // A read-only mix never writes.
+        let spec = KvSpec { write_fraction: 0.0, ..Default::default() };
+        let mut s = KvStream::new(spec, SimRng::new(1));
+        assert!((0..1000).all(|_| matches!(s.next_op(), KvOp::Get { .. })));
     }
 
     #[test]
@@ -152,7 +139,7 @@ mod tests {
 
     #[test]
     fn fork_matches_a_fresh_stream() {
-        let spec = KvSpec::ycsb_a(1 << 12);
+        let spec = KvSpec { keys: 1 << 12, write_fraction: 0.5, ..Default::default() };
         let base = KvStream::new(spec.clone(), SimRng::new(5));
         let mut forked = base.fork(SimRng::new(6));
         let mut fresh = KvStream::new(spec, SimRng::new(6));
@@ -176,17 +163,6 @@ mod tests {
         }
         let top = counts.iter().max_by_key(|(_, &c)| c).map(|(&k, _)| k).unwrap();
         assert_eq!(top, hot[0]);
-    }
-
-    #[test]
-    fn ycsb_presets_have_the_standard_mixes() {
-        assert_eq!(KvSpec::ycsb_a(100).write_fraction, 0.5);
-        assert_eq!(KvSpec::ycsb_b(100).write_fraction, 0.05);
-        assert_eq!(KvSpec::ycsb_c(100).write_fraction, 0.0);
-        let mut s = KvStream::new(KvSpec::ycsb_c(100), SimRng::new(1));
-        for _ in 0..50 {
-            assert!(matches!(s.next_op(), KvOp::Get { .. }));
-        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Remote synchronization primitives (§III-E): spinlocks over RDMA CAS
 //! (with and without exponential backoff), the remote sequencer over FAA,
-//! and their two-sided RPC baselines — plus a versioned-entry round trip.
+//! and the sequencer's space reservation, next to their two-sided RPC
+//! baselines.
 //!
 //! ```text
 //! cargo run --release --example remote_locks
@@ -8,7 +9,7 @@
 
 use rdma_memsem::net::{ClusterConfig, Endpoint, Testbed};
 use rdma_memsem::nic::{RKey, Sge};
-use rdma_memsem::opt::{RemoteSequencer, RemoteSpinlock, RpcLock, RpcSequencer, VersionedEntry};
+use rdma_memsem::opt::{RemoteSequencer, RemoteSpinlock, RpcLock, RpcSequencer};
 use rdma_memsem::sim::{SimRng, SimTime};
 
 fn main() {
@@ -30,9 +31,10 @@ fn main() {
     let seq = RemoteSequencer { rkey, offset: 64 };
     let mut t = rel;
     print!("remote sequencer tickets:");
-    for _ in 0..5 {
+    for expect in 0..5 {
         let ticket = seq.next(&mut tb, conn, t, Sge::new(scratch, 0, 8));
         print!(" {}", ticket.value);
+        assert_eq!(ticket.value, expect);
         t = ticket.at;
     }
     println!(
@@ -43,6 +45,7 @@ fn main() {
     // --- the space-reservation idiom of the distributed log ---------------
     let tk = seq.next_n(&mut tb, conn, t, Sge::new(scratch, 0, 8), 4096);
     println!("reserved 4 KB of log space at offset {} with one FAA", tk.value);
+    assert_eq!(tk.value, 5);
     t = tk.at;
 
     // --- RPC baselines ------------------------------------------------------
@@ -53,18 +56,6 @@ fn main() {
     let rpc_seq = RpcSequencer::new();
     let p = rpc_seq.next(&mut tb, conn, b);
     println!("RPC sequencer ticket {} in {}", p.value, p.at - b);
-
-    // --- multi-version entry -----------------------------------------------
-    let entry = VersionedEntry { rkey, base: 256, slots: 4, value_len: 16 };
-    let w = entry.write(&mut tb, conn, p.at, b"versioned-value!", scratch, 64);
-    let r = entry.read(&mut tb, conn, w.at, scratch, 64).expect("a committed version exists");
-    println!(
-        "versioned entry: wrote v{}, read back v{} = {:?}",
-        w.version,
-        r.version,
-        String::from_utf8_lossy(&r.value)
-    );
-    assert_eq!(r.value, b"versioned-value!");
 
     println!("\nrun `repro fig10` for the full contention curves (1-16 threads).");
 }

@@ -36,6 +36,11 @@ cargo clippy --all-targets --offline -- -D warnings
 echo "== bench binaries build =="
 cargo build --benches --release --offline
 
+echo "== root examples (run to completion, so their asserts execute) =="
+for ex in quickstart remote_locks disaggregated_kv shuffle_pipeline; do
+  cargo run --release --offline --quiet --example "$ex" >/dev/null
+done
+
 echo "== determinism check (serial vs parallel vs sharded) =="
 # The gate runs the registry's gate-tagged experiments. They include
 # fig6-xxl, a small-scale fleet sweep whose rendered notes carry the
