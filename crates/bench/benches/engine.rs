@@ -63,21 +63,23 @@ fn bench_kserver() {
     // Saturated: back-to-back bookings merge into one interval.
     bench("kserver/acquire_saturated", 100_000, || {
         let mut s = KServer::new(4);
+        let mut end = SimTime::ZERO;
         for _ in 0..100_000u64 {
-            s.acquire(SimTime::ZERO, SimTime::from_ns(100));
+            end = s.acquire(SimTime::ZERO, SimTime::ZERO, SimTime::from_ns(100)).1;
         }
-        s.earliest_free()
+        end
     });
     // Sparse: bookings land in scattered gaps (worst case for the
     // interval list).
     bench("kserver/acquire_sparse", 100_000, || {
         let mut s = KServer::new(1);
         let mut rng = SimRng::new(2);
+        let mut end = SimTime::ZERO;
         for _ in 0..100_000u64 {
             let ready = SimTime::from_ns(rng.next_u64() % 1_000_000);
-            s.acquire(ready, SimTime::from_ns(30));
+            end = s.acquire(SimTime::ZERO, ready, SimTime::from_ns(30)).1;
         }
-        s.earliest_free()
+        end
     });
 }
 

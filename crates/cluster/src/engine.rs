@@ -11,12 +11,20 @@
 //!
 //! A compare-and-swap's value check executes when the issuing client is
 //! *stepped* (global issue order), a few hundred nanoseconds before its
-//! modelled execution instant at the remote atomic unit. Because all
-//! atomics to a location serialize through one unit and all clients are
-//! symmetric closed loops, this reordering window is bounded by one
-//! pipeline depth and does not change contention dynamics — it never
-//! grants a lock to two owners, since value semantics are applied in one
-//! total (issue) order.
+//! modelled execution instant at the remote atomic unit. Value semantics
+//! are applied in one total (issue) order, so a lock is never granted to
+//! two owners. The order can still differ from the responder's: the
+//! gap-filling calendars let a later-issued op execute first, and WRITEs
+//! and READs never pass through the atomic unit. ROADMAP item 3 measures
+//! these inversions (in `fig10`, 24,286 of 234,564 one-sided ops) and
+//! plans to apply effects in responder order.
+//!
+//! ### The horizon
+//!
+//! The engine steps events in time order, so the time of the event being
+//! stepped bounds every later post in the drive from below. It publishes
+//! that time as the testbed's horizon, and the NICs a post touches may
+//! forget calendar history that ends before it (see `drive_steps`).
 
 use crate::testbed::Testbed;
 use simcore::{EventQueue, SimTime};
@@ -58,6 +66,14 @@ pub fn run_clients(
 /// that client, and re-queue its next wake-up — until the queue drains or
 /// the deadline passes. A deadline hit returns with the later events
 /// still queued; callers drop or clear the queue.
+///
+/// Events are stepped in time order, so the time of the one being
+/// stepped is the testbed's horizon: no later post in this drive may be
+/// issued before it. A post that is (a client posting into its own past,
+/// or a drive restarting below the time an earlier drive reached on the
+/// same machines) fails the step's assert. The horizon returns to zero when the drive does, so
+/// each component of the pinned runtime, which starts at time zero on
+/// machines no other component touches, begins unbound.
 pub(crate) fn drive_steps(
     tb: &mut Testbed,
     q: &mut EventQueue<usize>,
@@ -65,12 +81,16 @@ pub(crate) fn drive_steps(
     last: &mut SimTime,
     step: &mut dyn FnMut(&mut Testbed, SimTime, usize) -> Step,
 ) {
-    while let Some((mut now, i)) = q.pop() {
+    'drive: while let Some((mut now, i)) = q.pop() {
         if now > deadline {
-            return;
+            break;
         }
         *last = (*last).max(now);
-        while let Step::Yield(t) = step(tb, now, i) {
+        loop {
+            tb.set_horizon(now);
+            let next = step(tb, now, i);
+            assert!(tb.posts_below_horizon() == 0, "client {i} posted below the horizon {now}");
+            let Step::Yield(t) = next else { break };
             assert!(t >= now, "client {i} yielded into the past");
             // Fast path: if no pending event fires at or before `t`, this
             // client is next anyway — re-step it inline instead of a
@@ -83,12 +103,13 @@ pub(crate) fn drive_steps(
                 break;
             }
             if t > deadline {
-                return;
+                break 'drive;
             }
             *last = (*last).max(t);
             now = t;
         }
     }
+    tb.set_horizon(SimTime::ZERO);
 }
 
 impl<T: Client + ?Sized> Client for &mut T {
@@ -358,6 +379,66 @@ mod tests {
             run_clients(&mut tb, &mut clients, SimTime::MAX);
         }
         assert_eq!(cl.completions(), bl.batch_completions());
+    }
+
+    /// A client writing 8 bytes across a two-machine testbed, once at
+    /// each of its step times, offset by `skew` into the past.
+    struct Poster {
+        conn: crate::ConnId,
+        src: rnicsim::MrId,
+        dst: rnicsim::MrId,
+        skew: SimTime,
+        steps: u32,
+    }
+
+    impl Client for Poster {
+        fn step(&mut self, now: SimTime, tb: &mut Testbed) -> Step {
+            let rkey = rnicsim::RKey(self.dst.0 as u64);
+            let wr = rnicsim::WorkRequest::write(0, rnicsim::Sge::new(self.src, 0, 8), rkey, 0);
+            let done = tb.post_one(now.saturating_sub(self.skew), self.conn, wr).at;
+            self.steps -= 1;
+            if self.steps == 0 {
+                return Step::Done;
+            }
+            Step::Yield(done.max(now + SimTime::from_us(1)))
+        }
+    }
+
+    fn poster_testbed(skew: SimTime) -> (Testbed, Poster) {
+        let mut tb = Testbed::new(ClusterConfig::two_machines());
+        let src = tb.register(0, 0, 4096);
+        let dst = tb.register(1, 0, 4096);
+        let conn = tb.connect(crate::Endpoint::affine(0, 0), crate::Endpoint::affine(1, 0));
+        (tb, Poster { conn, src, dst, skew, steps: 4 })
+    }
+
+    #[test]
+    fn posts_at_step_time_keep_the_horizon() {
+        let (mut tb, mut poster) = poster_testbed(SimTime::ZERO);
+        let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut poster)];
+        run_clients(&mut tb, &mut clients, SimTime::MAX);
+        assert_eq!(tb.posts_below_horizon(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "client 0 posted below the horizon")]
+    fn a_post_into_the_clients_own_past_trips_the_engine() {
+        let (mut tb, mut poster) = poster_testbed(SimTime::from_ns(500));
+        let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut poster)];
+        run_clients(&mut tb, &mut clients, SimTime::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "client 0 posted below the horizon")]
+    fn a_drive_restarting_below_an_earlier_one_trips_the_engine() {
+        let (mut tb, mut poster) = poster_testbed(SimTime::ZERO);
+        let mut again = Poster { steps: 4, ..poster };
+        let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut poster)];
+        run_clients(&mut tb, &mut clients, SimTime::MAX);
+        // The first drive raised both NICs' horizon to its last step
+        // time; this one starts over at time zero on the same machines.
+        let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut again)];
+        run_clients(&mut tb, &mut clients, SimTime::MAX);
     }
 
     #[test]

@@ -482,29 +482,50 @@ impl MemoryPool {
     /// memory without walking the full registered length. Unbacked
     /// regions digest to the FNV basis.
     pub fn resident_digest(&self, mr: MrId) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut h = FNV_OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
         let r = self.expect_region(mr);
         if let Backing::Sparse(chunks) = &r.backing {
             let per_frame = (DIGEST_FRAME / CHUNK_BYTES) as usize;
             for (fi, frame) in chunks.chunks(per_frame).enumerate() {
                 if frame.iter().any(Option::is_some) {
-                    fold(&(fi as u64).to_le_bytes());
+                    h = fnv1a(h, &(fi as u64).to_le_bytes());
                     for ci in fi * per_frame..((fi + 1) * per_frame).min(r.slots()) {
-                        fold(chunk(chunks, ci).unwrap_or(&ZERO_CHUNK[..r.chunk_len(ci)]));
+                        h = match chunk(chunks, ci) {
+                            Some(c) => fnv1a(h, c),
+                            None => fnv1a_zeros(h, r.chunk_len(ci)),
+                        };
                     }
                 }
             }
         }
         h
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// FNV-1a over a whole unmaterialized page: see [`fnv1a_zeros`].
+const FNV_PRIME_POW_CHUNK: u64 = FNV_PRIME.wrapping_pow(CHUNK_BYTES as u32);
+
+/// Fold `bytes` into the FNV-1a state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Fold `n` zero bytes into the FNV-1a state `h` without a byte loop:
+/// XOR with zero is the identity, so each zero byte is one multiply by
+/// the prime, and `n` of them multiply by its `n`-th power.
+fn fnv1a_zeros(h: u64, n: usize) -> u64 {
+    let pow = if n == CHUNK_BYTES as usize {
+        FNV_PRIME_POW_CHUNK
+    } else {
+        FNV_PRIME.wrapping_pow(n as u32)
+    };
+    h.wrapping_mul(pow)
 }
 
 /// Write one chunk-bounded piece into a backed region: `piece = None`
@@ -783,5 +804,47 @@ mod tests {
         let a2 = m2.register(0, 4 * CHUNK_BYTES);
         m2.write(a2, CHUNK_BYTES + 5, b"fleet");
         assert_eq!(m2.resident_digest(a2), one);
+    }
+
+    /// `resident_digest` as defined: the FNV-1a byte loop over every
+    /// byte of each frame holding a materialized page, holes as zeros.
+    fn byte_loop_digest(m: &MemoryPool, mr: MrId) -> u64 {
+        let r = m.expect_region(mr);
+        let Backing::Sparse(chunks) = &r.backing else { return FNV_OFFSET };
+        let per_frame = (DIGEST_FRAME / CHUNK_BYTES) as usize;
+        let mut h = FNV_OFFSET;
+        for (fi, frame) in chunks.chunks(per_frame).enumerate() {
+            if frame.iter().any(Option::is_some) {
+                h = fnv1a(h, &(fi as u64).to_le_bytes());
+                for ci in fi * per_frame..((fi + 1) * per_frame).min(r.slots()) {
+                    h = fnv1a(h, chunk(chunks, ci).unwrap_or(&ZERO_CHUNK[..r.chunk_len(ci)]));
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn zero_pages_fold_as_the_byte_loop_does() {
+        for n in [0, 1, 7, 4095, CHUNK_BYTES as usize] {
+            assert_eq!(fnv1a_zeros(FNV_OFFSET, n), fnv1a(FNV_OFFSET, &ZERO_CHUNK[..n]), "{n}");
+        }
+        let mut rng = simcore::SimRng::new(0xd16e57);
+        for _ in 0..40 {
+            let mut m = MemoryPool::new();
+            // Lengths that end mid-page and mid-frame, so the last page
+            // and the last frame are short.
+            let len = CHUNK_BYTES * (1 + rng.gen_range(40)) + rng.gen_range(CHUNK_BYTES);
+            let mr = m.register(0, len);
+            for _ in 0..rng.gen_range(6) {
+                let off = rng.gen_range(len - 8);
+                m.write(mr, off, &(1 + rng.gen_range(u64::MAX - 1)).to_le_bytes());
+            }
+            if rng.gen_bool(0.5) {
+                // Materialize the last, short page's frame.
+                m.write(mr, len - 1, &[0xa5]);
+            }
+            assert_eq!(m.resident_digest(mr), byte_loop_digest(&m, mr), "len {len}");
+        }
     }
 }

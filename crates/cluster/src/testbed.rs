@@ -115,6 +115,15 @@ pub struct Testbed {
     component: Vec<u32>,
     /// The component being stepped while `component` is set.
     stepping: u32,
+    /// While the engine drives clients, the time of the event it is
+    /// stepping: no later post in that drive is issued before it, so
+    /// every NIC a post touches may forget the calendar history before
+    /// it. Zero outside a drive, which promises nothing.
+    horizon: SimTime,
+    /// Posts issued below the horizon of a NIC they touched, whose
+    /// calendars may already have forgotten history those posts needed.
+    /// The engine asserts this stays zero (see `engine::drive_steps`).
+    below_horizon: u64,
 }
 
 impl Testbed {
@@ -130,6 +139,8 @@ impl Testbed {
             checked: false,
             component: Vec::new(),
             stepping: 0,
+            horizon: SimTime::ZERO,
+            below_horizon: 0,
         }
     }
 
@@ -344,6 +355,8 @@ impl Testbed {
         let server_port_socket = cfg.port_socket(server.port);
 
         let (cm, sm) = pair_of(&mut self.machines, client.machine, server.machine);
+        let mark = cm.rnic.raise_horizon(self.horizon).max(sm.rnic.raise_horizon(self.horizon));
+        self.below_horizon += u64::from(now < mark);
 
         // One doorbell MMIO for the whole batch; crossing QPI to reach the
         // NIC costs extra.
@@ -612,6 +625,9 @@ impl Testbed {
         };
         let cfg = &self.cfg;
         let (cm, sm) = pair_of(&mut self.machines, client.machine, server.machine);
+        let server_horizon = sm.rnic.raise_horizon(self.horizon);
+        let mark = cm.rnic.raise_horizon(self.horizon).max(server_horizon);
+        self.below_horizon += u64::from(now < mark);
 
         // Request: client → server (like a Send landing in a recv buffer).
         let t_door = cm.rnic.doorbell(now);
@@ -625,7 +641,8 @@ impl Testbed {
 
         // Server CPU: poll, dispatch, run the handler, post the reply.
         let ready = placed + cfg.rpc.poll_delay;
-        let (_, served) = sm.rpc_cpu.acquire(ready, cfg.rpc.dispatch_cost + handler_cost);
+        let (_, served) =
+            sm.rpc_cpu.acquire(server_horizon, ready, cfg.rpc.dispatch_cost + handler_cost);
 
         // Reply: server → client.
         let r_door = sm.rnic.doorbell(served);
@@ -676,6 +693,8 @@ impl Testbed {
                 checked: self.checked,
                 component: self.component.clone(),
                 stepping: self.stepping,
+                horizon: SimTime::ZERO,
+                below_horizon: 0,
             })
             .collect()
     }
@@ -690,6 +709,17 @@ impl Testbed {
     /// The component whose clients are being stepped.
     pub(crate) fn set_stepping(&mut self, component: u32) {
         self.stepping = component;
+    }
+
+    /// Publish the engine's horizon: no later post is issued before it
+    /// (`SimTime::ZERO` outside a drive).
+    pub(crate) fn set_horizon(&mut self, horizon: SimTime) {
+        self.horizon = horizon;
+    }
+
+    /// How many posts were issued below the horizon of a NIC they touched.
+    pub(crate) fn posts_below_horizon(&self) -> u64 {
+        self.below_horizon
     }
 
     /// Panic unless both endpoints of `conn` lie in the component being

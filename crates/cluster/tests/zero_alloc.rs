@@ -193,8 +193,8 @@ fn full_resource_calendars_do_not_allocate() {
     let slot = |i: u64| SimTime::from_ns(100 * i);
     let service = SimTime::from_ns(10);
     let mut book = |ready: SimTime| {
-        link.transfer(ready, 10); // 10 B at 1 ns/B: the same 10 ns
-        server.acquire(ready, service)
+        link.transfer(SimTime::ZERO, ready, 10); // 10 B at 1 ns/B: the same 10 ns
+        server.acquire(SimTime::ZERO, ready, service)
     };
     for i in 0..64 {
         book(slot(i));

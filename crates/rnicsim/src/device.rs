@@ -5,6 +5,12 @@
 //! the `cluster` crate. Methods here hand out `(start, end)` occupancy
 //! intervals on the device's resources, so callers compose pipelines by
 //! chaining the returned times.
+//!
+//! Every booking carries the NIC's *horizon*: the highest instant its
+//! driver has promised that no later request will be ready before (see
+//! [`Rnic::raise_horizon`]). The resource calendars may collapse the
+//! history before it, which no later booking can reach, so they stay
+//! small.
 
 use crate::config::RnicConfig;
 use crate::mtt::MttCache;
@@ -40,6 +46,8 @@ pub struct Rnic {
     pub qpc: LruSet,
     /// Port binding per QP, indexed by `QpNum` (QP numbers are dense).
     qp_port: Vec<u32>,
+    /// The highest horizon this NIC's calendars have been pruned to.
+    horizon: SimTime,
 }
 
 impl Rnic {
@@ -58,7 +66,16 @@ impl Rnic {
             .collect();
         let mtt = MttCache::new(cfg.mtt_cache_entries, cfg.page_bytes);
         let qpc = LruSet::new(cfg.qpc_cache_entries);
-        Rnic { cfg, ports, mtt, qpc, qp_port: Vec::new() }
+        Rnic { cfg, ports, mtt, qpc, qp_port: Vec::new(), horizon: SimTime::ZERO }
+    }
+
+    /// Promise that no later request on this NIC is ready before
+    /// `horizon`; the promise only ever tightens. Returns the NIC's
+    /// horizon, the highest promised so far: a request issued below it
+    /// may find the history it needed already collapsed.
+    pub fn raise_horizon(&mut self, horizon: SimTime) -> SimTime {
+        self.horizon = self.horizon.max(horizon);
+        self.horizon
     }
 
     /// The configuration this NIC was built with.
@@ -117,15 +134,16 @@ impl Rnic {
         service: SimTime,
         extra: SimTime,
     ) -> (SimTime, SimTime) {
-        self.ports[port].exec.acquire(ready, service + extra)
+        self.ports[port].exec.acquire(self.horizon, ready, service + extra)
     }
 
     /// Gather `sges` scattered buffers totalling `bytes` from host memory
     /// via the scatter/gather DMA engine. Returns completion time.
     pub fn gather_dma(&mut self, port: usize, ready: SimTime, sges: usize, bytes: u64) -> SimTime {
         let setup = self.cfg.sge_gather_cost * sges as u64;
-        let (_, engine_done) = self.ports[port].gather.acquire(ready, setup);
-        let (_, arrival) = self.ports[port].pcie.transfer(engine_done, bytes);
+        let p = &mut self.ports[port];
+        let (_, engine_done) = p.gather.acquire(self.horizon, ready, setup);
+        let (_, arrival) = p.pcie.transfer(self.horizon, engine_done, bytes);
         arrival
     }
 
@@ -133,7 +151,7 @@ impl Rnic {
     /// left the port (the fabric adds propagation/switch latency).
     pub fn wire_out(&mut self, port: usize, ready: SimTime, payload: u64) -> SimTime {
         let bytes = self.cfg.wire_bytes(payload);
-        let (_, done) = self.ports[port].link_tx.transfer(ready, bytes);
+        let (_, done) = self.ports[port].link_tx.transfer(self.horizon, ready, bytes);
         done
     }
 
@@ -148,7 +166,7 @@ impl Rnic {
         // packet entered the fabric `ser` earlier and reaches this port
         // `wire_fixed` later.
         let head = (depart + self.cfg.wire_fixed).saturating_sub(ser);
-        let (_, drained) = self.ports[port].link_rx.transfer(head, bytes);
+        let (_, drained) = self.ports[port].link_rx.transfer(self.horizon, head, bytes);
         drained
     }
 
@@ -159,24 +177,24 @@ impl Rnic {
         ready: SimTime,
         extra: SimTime,
     ) -> (SimTime, SimTime) {
-        self.ports[port].recv.acquire(ready, self.cfg.recv_service + extra)
+        self.ports[port].recv.acquire(self.horizon, ready, self.cfg.recv_service + extra)
     }
 
     /// Occupy the atomic unit for one CAS/FAA.
     pub fn atomic_exec(&mut self, port: usize, ready: SimTime) -> (SimTime, SimTime) {
-        self.ports[port].atomic.acquire(ready, self.cfg.atomic_service)
+        self.ports[port].atomic.acquire(self.horizon, ready, self.cfg.atomic_service)
     }
 
     /// Posted DMA write toward host memory (landing an inbound payload).
     pub fn dma_write(&mut self, port: usize, ready: SimTime, bytes: u64) -> SimTime {
-        let (_, done) = self.ports[port].pcie.transfer(ready, bytes);
+        let (_, done) = self.ports[port].pcie.transfer(self.horizon, ready, bytes);
         done
     }
 
     /// Non-posted DMA read from host memory (responder fetching RDMA Read
     /// payload): full PCIe round trip plus serialization.
     pub fn dma_read(&mut self, port: usize, ready: SimTime, bytes: u64) -> SimTime {
-        let (_, drained) = self.ports[port].pcie.transfer(ready, bytes);
+        let (_, drained) = self.ports[port].pcie.transfer(self.horizon, ready, bytes);
         drained + self.cfg.pcie_read_rtt
     }
 }

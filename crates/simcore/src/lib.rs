@@ -19,7 +19,7 @@
 //! let mut server = KServer::new(1);
 //! let mut queue = EventQueue::new();
 //! for id in 0..2u32 {
-//!     let (_, done) = server.acquire(SimTime::ZERO, SimTime::from_ns(100));
+//!     let (_, done) = server.acquire(SimTime::ZERO, SimTime::ZERO, SimTime::from_ns(100));
 //!     queue.push(done, id);
 //! }
 //! assert_eq!(queue.pop(), Some((SimTime::from_ns(100), 0)));

@@ -30,14 +30,31 @@
 //! it can neither hold the request nor move its start, so skipping it is
 //! exact. One ending exactly at the start is not skipped, because a
 //! zero-length interval there still bounds a zero-length request's gap.
+//!
+//! Every booking also carries a *horizon*: the caller's promise that no
+//! later request is ready before it. An interval that ends strictly
+//! before the horizon is dead: the gap search skips it for every request
+//! the promise allows, so collapsing it into the floor leaves every
+//! `(start, end)` exactly as it would be without pruning. A booking that
+//! would store an interval in a full ring (one that would have to grow,
+//! or is at the cap) first collapses the oldest interval if it is dead,
+//! just as a ring at the cap evicts it. Intervals are sorted, so a ring
+//! grows only while every interval in it is live, and a calendar driven
+//! by the client engine stays at the size of its live peak instead of
+//! growing to the cap. (Collapsing every dead interval on every booking
+//! keeps the same heap but cost 4–13 % of simbench `run_s`: the hot tail
+//! path then branches on how many intervals died. Collapsing one per
+//! store keeps the capped ring's steady state of one pop per push.) A
+//! horizon of `SimTime::ZERO` promises nothing and prunes nothing.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
 /// How many discrete busy intervals a timeline tracks before the oldest
 /// are collapsed into the "past" floor. Bookings from different sources
-/// leave disjoint gaps between them, so a calendar in use fills all of
-/// them; the ring is sized once and a full calendar evicts in O(1).
+/// leave disjoint gaps between them, so a calendar booked without a
+/// horizon fills all of them; the ring is sized once and a full calendar
+/// evicts in O(1).
 const MAX_INTERVALS: usize = 64;
 
 /// A single service unit's busy calendar.
@@ -52,8 +69,10 @@ struct Timeline {
 
 impl Timeline {
     /// Book `service` starting no earlier than `ready`, using the first
-    /// idle gap that fits. Returns `(start, end)`.
-    fn book(&mut self, ready: SimTime, service: SimTime) -> (SimTime, SimTime) {
+    /// idle gap that fits. Intervals ending before `horizon` are dead; a
+    /// full ring collapses its oldest one rather than grow (see the
+    /// module docs). Returns `(start, end)`.
+    fn book(&mut self, horizon: SimTime, ready: SimTime, service: SimTime) -> (SimTime, SimTime) {
         let start = ready.max(self.floor);
         // Tail fast path: a request ready at or after the last busy
         // interval can never fit an earlier gap, so it appends (merging
@@ -69,7 +88,8 @@ impl Timeline {
                 if start == last.1 {
                     last.1 = end;
                 } else {
-                    if self.busy.len() == MAX_INTERVALS {
+                    if self.full() && (self.busy.len() == MAX_INTERVALS || self.dead_front(horizon))
+                    {
                         self.evict_oldest();
                     }
                     self.busy.push_back((start, end));
@@ -78,7 +98,12 @@ impl Timeline {
             }
             _ => {}
         }
-        let (idx, start) = self.first_fit(start, service);
+        if self.full() && self.dead_front(horizon) {
+            self.evict_oldest();
+        }
+        // Collapsing moves the floor only for a request ready before the
+        // horizon, which the caller promised not to make.
+        let (idx, start) = self.first_fit(ready.max(self.floor), service);
         let end = start + service;
         // Insert, merging with touching neighbours to keep the list short.
         let merged_prev = idx > 0 && self.busy[idx - 1].1 == start;
@@ -104,6 +129,18 @@ impl Timeline {
         (start, end)
     }
 
+    /// Whether storing one more interval would grow the ring's allocation
+    /// or pass the cap.
+    fn full(&self) -> bool {
+        self.busy.len() == self.busy.capacity().min(MAX_INTERVALS)
+    }
+
+    /// Whether the oldest interval ends before `horizon`, so that no
+    /// request the horizon allows can reach it.
+    fn dead_front(&self, horizon: SimTime) -> bool {
+        self.busy.front().is_some_and(|&(_, e)| e < horizon)
+    }
+
     /// Collapse the oldest busy interval into the floor.
     fn evict_oldest(&mut self) {
         if let Some((_, e0)) = self.busy.pop_front() {
@@ -125,14 +162,6 @@ impl Timeline {
         (self.busy.len(), start)
     }
 
-    /// Earliest instant at which the start of the calendar has a gap.
-    fn earliest_free(&self) -> SimTime {
-        match self.busy.front() {
-            Some(&(s, e)) if s <= self.floor => e,
-            _ => self.floor,
-        }
-    }
-
     /// When the unit could start a request ready at `ready` (no booking).
     fn probe(&self, ready: SimTime, service: SimTime) -> SimTime {
         let start = ready.max(self.floor);
@@ -142,11 +171,6 @@ impl Timeline {
             Some(&(_, e)) if start >= e => start,
             _ => self.first_fit(start, service).1,
         }
-    }
-
-    fn reset(&mut self) {
-        self.floor = SimTime::ZERO;
-        self.busy.clear();
     }
 }
 
@@ -171,11 +195,18 @@ impl KServer {
 
     /// Occupy the unit that can serve soonest for `service`, starting no
     /// earlier than `ready`. Returns `(start, end)` of the service
-    /// interval.
-    pub fn acquire(&mut self, ready: SimTime, service: SimTime) -> (SimTime, SimTime) {
+    /// interval. `horizon` promises that no later request on this server
+    /// is ready before it (see the module docs); `SimTime::ZERO` promises
+    /// nothing.
+    pub fn acquire(
+        &mut self,
+        horizon: SimTime,
+        ready: SimTime,
+        service: SimTime,
+    ) -> (SimTime, SimTime) {
         self.busy += service;
         if self.units.len() == 1 {
-            return self.units[0].book(ready, service);
+            return self.units[0].book(horizon, ready, service);
         }
         let idx = self
             .units
@@ -184,26 +215,13 @@ impl KServer {
             .min_by_key(|(_, u)| u.probe(ready, service))
             .map(|(i, _)| i)
             .expect("KServer has at least one unit");
-        self.units[idx].book(ready, service)
+        self.units[idx].book(horizon, ready, service)
     }
 
     /// Total service time dispensed across all units (for utilization:
     /// divide by `units() × makespan`).
     pub fn busy(&self) -> SimTime {
         self.busy
-    }
-
-    /// Earliest instant at which any unit is (or becomes) idle.
-    pub fn earliest_free(&self) -> SimTime {
-        self.units.iter().map(Timeline::earliest_free).min().expect("non-empty")
-    }
-
-    /// Forget all queued work; all units become idle at time zero.
-    pub fn reset(&mut self) {
-        for u in &mut self.units {
-            u.reset();
-        }
-        self.busy = SimTime::ZERO;
     }
 }
 
@@ -236,10 +254,11 @@ impl BandwidthLink {
 
     /// Push `bytes` through the link starting no earlier than `ready`.
     /// Returns `(start, arrival)`: when serialization began and when the
-    /// last byte arrives at the far end.
-    pub fn transfer(&mut self, ready: SimTime, bytes: u64) -> (SimTime, SimTime) {
+    /// last byte arrives at the far end. `horizon` is as for
+    /// [`KServer::acquire`].
+    pub fn transfer(&mut self, horizon: SimTime, ready: SimTime, bytes: u64) -> (SimTime, SimTime) {
         let ser = SimTime::from_ps(bytes * self.ps_per_byte);
-        let (start, drained) = self.line.book(ready, ser);
+        let (start, drained) = self.line.book(horizon, ready, ser);
         self.busy += ser;
         (start, drained + self.latency)
     }
@@ -253,12 +272,6 @@ impl BandwidthLink {
     pub fn serialization(&self, bytes: u64) -> SimTime {
         SimTime::from_ps(bytes * self.ps_per_byte)
     }
-
-    /// Forget all queued work.
-    pub fn reset(&mut self) {
-        self.line.reset();
-        self.busy = SimTime::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -271,13 +284,13 @@ mod tests {
     fn single_server_is_fifo_for_equal_ready_times() {
         let mut s = KServer::new(1);
         let svc = SimTime::from_ns(10);
-        let (a0, a1) = s.acquire(SimTime::ZERO, svc);
+        let (a0, a1) = s.acquire(SimTime::ZERO, SimTime::ZERO, svc);
         assert_eq!((a0, a1), (SimTime::ZERO, SimTime::from_ns(10)));
         // Second request ready at t=3 must wait until t=10.
-        let (b0, b1) = s.acquire(SimTime::from_ns(3), svc);
+        let (b0, b1) = s.acquire(SimTime::ZERO, SimTime::from_ns(3), svc);
         assert_eq!((b0, b1), (SimTime::from_ns(10), SimTime::from_ns(20)));
         // A request ready after the queue drained starts immediately.
-        let (c0, _) = s.acquire(SimTime::from_ns(50), svc);
+        let (c0, _) = s.acquire(SimTime::ZERO, SimTime::from_ns(50), svc);
         assert_eq!(c0, SimTime::from_ns(50));
     }
 
@@ -285,10 +298,10 @@ mod tests {
     fn earlier_arrivals_fill_gaps_before_future_bookings() {
         let mut s = KServer::new(1);
         // A pipeline books far in the future...
-        let (f0, _) = s.acquire(SimTime::from_us(10), SimTime::from_ns(100));
+        let (f0, _) = s.acquire(SimTime::ZERO, SimTime::from_us(10), SimTime::from_ns(100));
         assert_eq!(f0, SimTime::from_us(10));
         // ...but a request arriving now is served now, in the idle gap.
-        let (n0, n1) = s.acquire(SimTime::ZERO, SimTime::from_ns(100));
+        let (n0, n1) = s.acquire(SimTime::ZERO, SimTime::ZERO, SimTime::from_ns(100));
         assert_eq!(n0, SimTime::ZERO);
         assert_eq!(n1, SimTime::from_ns(100));
     }
@@ -296,15 +309,15 @@ mod tests {
     #[test]
     fn gap_must_fit_the_whole_service() {
         let mut s = KServer::new(1);
-        s.acquire(SimTime::ZERO, SimTime::from_ns(100)); // [0,100)
-        s.acquire(SimTime::from_ns(150), SimTime::from_ns(100)); // [150,250)
-                                                                 // 60ns job ready at 80: gap [100,150) fits only 50ns of it after
-                                                                 // its ready time... it can start at 100, needs until 160 > 150, so
-                                                                 // it must go after 250.
-        let (start, _) = s.acquire(SimTime::from_ns(80), SimTime::from_ns(60));
+        s.acquire(SimTime::ZERO, SimTime::ZERO, SimTime::from_ns(100)); // [0,100)
+        s.acquire(SimTime::ZERO, SimTime::from_ns(150), SimTime::from_ns(100)); // [150,250)
+                                                                                // 60ns job ready at 80: gap [100,150) fits only 50ns of it after
+                                                                                // its ready time... it can start at 100, needs until 160 > 150, so
+                                                                                // it must go after 250.
+        let (start, _) = s.acquire(SimTime::ZERO, SimTime::from_ns(80), SimTime::from_ns(60));
         assert_eq!(start, SimTime::from_ns(250));
         // A 40ns job ready at 100 fits the gap exactly.
-        let (start, end) = s.acquire(SimTime::from_ns(100), SimTime::from_ns(40));
+        let (start, end) = s.acquire(SimTime::ZERO, SimTime::from_ns(100), SimTime::from_ns(40));
         assert_eq!(start, SimTime::from_ns(100));
         assert_eq!(end, SimTime::from_ns(140));
     }
@@ -314,14 +327,16 @@ mod tests {
         let mut s = KServer::new(3);
         let svc = SimTime::from_ns(10);
         for _ in 0..3 {
-            let (start, _) = s.acquire(SimTime::ZERO, svc);
+            let (start, _) = s.acquire(SimTime::ZERO, SimTime::ZERO, svc);
             assert_eq!(start, SimTime::ZERO);
         }
         // Fourth request queues behind the earliest finisher.
-        let (start, end) = s.acquire(SimTime::ZERO, svc);
+        let (start, end) = s.acquire(SimTime::ZERO, SimTime::ZERO, svc);
         assert_eq!(start, SimTime::from_ns(10));
         assert_eq!(end, SimTime::from_ns(20));
-        assert_eq!(s.earliest_free(), SimTime::from_ns(10));
+        // Two units are idle again at 10 ns: the next request starts then.
+        let (start, _) = s.acquire(SimTime::ZERO, SimTime::ZERO, svc);
+        assert_eq!(start, SimTime::from_ns(10));
     }
 
     #[test]
@@ -331,7 +346,7 @@ mod tests {
         let svc = SimTime::from_ns(100);
         let mut last = SimTime::ZERO;
         for _ in 0..4000 {
-            let (_, end) = s.acquire(SimTime::ZERO, svc);
+            let (_, end) = s.acquire(SimTime::ZERO, SimTime::ZERO, svc);
             last = last.max(end);
         }
         assert_eq!(last, SimTime::from_us(100));
@@ -343,14 +358,13 @@ mod tests {
         // Far-apart bookings [10i µs, 10i µs + 10 ns): the first 20 are
         // evicted, and the floor rises to the end of the 20th.
         for i in 0..(MAX_INTERVALS as u64 + 20) {
-            s.acquire(SimTime::from_us(10 * i), SimTime::from_ns(10));
+            s.acquire(SimTime::ZERO, SimTime::from_us(10 * i), SimTime::from_ns(10));
         }
         let floor = SimTime::from_us(190) + SimTime::from_ns(10);
-        assert_eq!(s.earliest_free(), floor);
-        let (start, end) = s.acquire(SimTime::ZERO, SimTime::from_ns(10));
+        let (start, end) = s.acquire(SimTime::ZERO, SimTime::ZERO, SimTime::from_ns(10));
         assert_eq!((start, end), (floor, floor + SimTime::from_ns(10)));
         // A request that fits a surviving gap still lands in it.
-        let (start, end) = s.acquire(SimTime::from_us(505), SimTime::from_ns(10));
+        let (start, end) = s.acquire(SimTime::ZERO, SimTime::from_us(505), SimTime::from_ns(10));
         assert_eq!(
             (start, end),
             (SimTime::from_us(505), SimTime::from_us(505) + SimTime::from_ns(10))
@@ -358,41 +372,48 @@ mod tests {
     }
 
     #[test]
+    fn horizon_collapses_only_unreachable_history() {
+        let mut pruned = KServer::new(1);
+        let mut plain = KServer::new(1);
+        let svc = SimTime::from_ns(10);
+        // Far-apart bookings, each issued at its own ready time.
+        for i in 0..200 {
+            let t = SimTime::from_us(i);
+            assert_eq!(pruned.acquire(t, t, svc), plain.acquire(SimTime::ZERO, t, svc));
+            assert!(pruned.units[0].busy.capacity() <= 4, "history kept at {i}");
+        }
+        assert_eq!(plain.units[0].busy.len(), MAX_INTERVALS);
+        // An interval ending exactly at the horizon is live, so a
+        // zero-length request there still merges into it.
+        let (t, end) = (SimTime::from_us(300), SimTime::from_us(300) + svc);
+        pruned.acquire(t, t, svc);
+        assert_eq!(pruned.acquire(end, end, SimTime::ZERO), (end, end));
+        assert_eq!(pruned.units[0].busy.back(), Some(&(t, end)));
+    }
+
+    #[test]
     fn bandwidth_link_serializes_and_delays() {
         // 40 Gbps, 200ns propagation.
         let mut l = BandwidthLink::new(ps_per_byte_gbps(40), SimTime::from_ns(200));
-        let (start, arrival) = l.transfer(SimTime::ZERO, 4096);
+        let (start, arrival) = l.transfer(SimTime::ZERO, SimTime::ZERO, 4096);
         assert_eq!(start, SimTime::ZERO);
         // 4096 B * 200 ps = 819.2 ns serialization + 200 ns latency.
         assert_eq!(arrival, SimTime::from_ps(4096 * 200 + 200_000));
         // Next transfer queues behind the first's serialization, not its
         // propagation (cut-through of the sender side).
-        let (s2, _) = l.transfer(SimTime::ZERO, 64);
+        let (s2, _) = l.transfer(SimTime::ZERO, SimTime::ZERO, 64);
         assert_eq!(s2, SimTime::from_ps(4096 * 200));
     }
 
     #[test]
     fn busy_accounting_accumulates_service_only() {
         let mut s = KServer::new(2);
-        s.acquire(SimTime::ZERO, SimTime::from_ns(30));
-        s.acquire(SimTime::from_us(5), SimTime::from_ns(70));
+        s.acquire(SimTime::ZERO, SimTime::ZERO, SimTime::from_ns(30));
+        s.acquire(SimTime::ZERO, SimTime::from_us(5), SimTime::from_ns(70));
         assert_eq!(s.busy(), SimTime::from_ns(100));
         let mut l = BandwidthLink::new(100, SimTime::from_ns(5));
-        l.transfer(SimTime::ZERO, 1000);
+        l.transfer(SimTime::ZERO, SimTime::ZERO, 1000);
         assert_eq!(l.busy(), SimTime::from_ps(100_000));
-    }
-
-    #[test]
-    fn reset_clears_backlog() {
-        let mut s = KServer::new(2);
-        s.acquire(SimTime::ZERO, SimTime::from_us(5));
-        s.reset();
-        assert_eq!(s.earliest_free(), SimTime::ZERO);
-        assert_eq!(s.busy(), SimTime::ZERO);
-        let mut l = BandwidthLink::new(100, SimTime::ZERO);
-        l.transfer(SimTime::ZERO, 1_000_000);
-        l.reset();
-        assert_eq!(l.transfer(SimTime::ZERO, 1).0, SimTime::ZERO);
     }
 
     /// The calendar as it was before the ring: a `Vec` that pushes the
@@ -454,13 +475,6 @@ mod tests {
             (start, end)
         }
 
-        fn earliest_free(&self) -> SimTime {
-            match self.busy.first() {
-                Some(&(s, e)) if s <= self.floor => e,
-                _ => self.floor,
-            }
-        }
-
         fn probe(&self, ready: SimTime, service: SimTime) -> SimTime {
             let mut start = ready.max(self.floor);
             match self.busy.last() {
@@ -500,10 +514,6 @@ mod tests {
                 .unwrap();
             self.units[idx].book(ready, service)
         }
-
-        fn earliest_free(&self) -> SimTime {
-            self.units.iter().map(VecTimeline::earliest_free).min().unwrap()
-        }
     }
 
     /// Ring-backed resource under test.
@@ -527,13 +537,13 @@ mod tests {
             }
         }
 
-        /// Book `quanta × Q` of service; a link's result is mapped back
-        /// from arrival to drain time.
-        fn book(&mut self, ready: SimTime, quanta: u64) -> (SimTime, SimTime) {
+        /// Book `quanta × Q` of service at `horizon`; a link's result is
+        /// mapped back from arrival to drain time.
+        fn book(&mut self, horizon: SimTime, ready: SimTime, quanta: u64) -> (SimTime, SimTime) {
             match self {
-                Ring::Server(s) => s.acquire(ready, SimTime::from_ps(quanta * Q)),
+                Ring::Server(s) => s.acquire(horizon, ready, SimTime::from_ps(quanta * Q)),
                 Ring::Link(l) => {
-                    let (start, arrival) = l.transfer(ready, quanta);
+                    let (start, arrival) = l.transfer(horizon, ready, quanta);
                     (start, arrival - l.latency())
                 }
             }
@@ -562,6 +572,16 @@ mod tests {
         tail_evict: u64,
         head_drop: u64,
         gap_evict: u64,
+        /// The ring, full, collapsed a dead interval rather than grow.
+        prune: u64,
+        /// The ring itself (not only the reference) evicted a live
+        /// interval at the cap.
+        ring_cap_evict: u64,
+        /// A zero-length request at an interval boundary past the horizon.
+        boundary_zero: u64,
+        /// The ring collapsed a dead interval and then filled a gap before
+        /// its last one.
+        gap_after_prune: u64,
     }
 
     /// A sorted, disjoint calendar starting at `base`, including touching
@@ -581,32 +601,40 @@ mod tests {
         cal
     }
 
-    fn assert_same(ring: &Ring, reference: &RefKServer, step: usize) {
+    /// Past the horizon the pruned ring holds exactly the reference's
+    /// intervals, and its floor bounds bookings exactly as the
+    /// reference's does; only history before the horizon may differ.
+    fn assert_same(ring: &Ring, reference: &RefKServer, horizon: SimTime, step: usize) {
         for (u, (a, b)) in ring.units().iter().zip(&reference.units).enumerate() {
-            assert_eq!(a.floor, b.floor, "step {step} unit {u}: floor");
+            assert_eq!(
+                a.floor.max(horizon),
+                b.floor.max(horizon),
+                "step {step} unit {u}: floor past the horizon"
+            );
+            let live = |&&(_, e): &&(SimTime, SimTime)| e >= horizon;
             assert!(
-                a.busy.iter().eq(&b.busy),
+                a.busy.iter().filter(live).eq(b.busy.iter().filter(live)),
                 "step {step} unit {u}: {:?} vs {:?}",
                 a.busy,
                 b.busy
             );
-            assert_eq!(a.earliest_free(), b.earliest_free(), "step {step} unit {u}: earliest_free");
         }
         assert_eq!(ring.busy(), reference.busy, "step {step}: busy");
-        if let Ring::Server(s) = ring {
-            assert_eq!(s.earliest_free(), reference.earliest_free(), "step {step}: earliest_free");
-        }
     }
 
     /// Drive `ring` and the reference through `steps` seeded bookings,
-    /// asserting identical results and state after every one.
+    /// asserting identical results after every one. The ring books under
+    /// a monotone horizon that advances in random steps and never passes
+    /// a later request's ready time; the reference never prunes.
     fn soup(mut ring: Ring, seed: u64, steps: usize) -> Coverage {
         let mut rng = SimRng::new(seed);
         let units = ring.units().len();
         let mut reference =
             RefKServer { units: vec![VecTimeline::default(); units], busy: SimTime::ZERO };
         let mut cov = Coverage::default();
-        let (mut horizon, mut last_ready) = (0u64, 0u64);
+        // `frontier` is the latest end booked so far; `horizon` trails it
+        // by an episode's `lag` (frozen when the lag is `FROZEN`).
+        let (mut frontier, mut horizon, mut lag, mut last_ready) = (0u64, 0u64, 0u64, 0u64);
         for step in 0..steps {
             // Episodes alternate between an empty calendar and arbitrary ones.
             if step % 4000 == 0 {
@@ -615,21 +643,40 @@ mod tests {
                     let (floor, cal) = if fresh {
                         (SimTime::ZERO, Vec::new())
                     } else {
-                        (SimTime::from_ps(horizon), arbitrary_calendar(&mut rng, horizon))
+                        (SimTime::from_ps(frontier), arbitrary_calendar(&mut rng, frontier))
                     };
-                    horizon = horizon.max(cal.last().map_or(0, |x| x.1.as_ps()));
+                    frontier = frontier.max(cal.last().map_or(0, |x| x.1.as_ps()));
                     ring.units_mut()[u] = Timeline { floor, busy: cal.iter().copied().collect() };
                     reference.units[u] = VecTimeline { floor, busy: cal };
                 }
             }
+            if step % 1000 == 0 {
+                const FROZEN: u64 = u64::MAX;
+                lag = [0, 40 * Q, 400 * Q, 4000 * Q, FROZEN, FROZEN, FROZEN]
+                    [rng.gen_range(7) as usize];
+            }
+            if rng.gen_range(4) == 0 {
+                // With no lag the horizon may pass the frontier, so that
+                // every interval is dead.
+                let target = match lag {
+                    0 => frontier + Q * rng.gen_range(8),
+                    _ => frontier.saturating_sub(lag),
+                };
+                horizon = horizon.max(target);
+            }
+            // A ring's allocation is not part of its state; a shrunk one
+            // is full, so its next booking collapses dead history.
+            if rng.gen_range(8) == 0 {
+                ring.units_mut().iter_mut().for_each(|u| u.busy.shrink_to_fit());
+            }
             let cal = &reference.units[rng.gen_range(units as u64) as usize].busy;
             let (ready, quanta) = match rng.gen_range(10) {
                 // Disjoint tail: builds past the cap.
-                0..=2 => (horizon + Q * (1 + rng.gen_range(40)), rng.gen_range(20)),
+                0..=2 => (frontier + Q * (1 + rng.gen_range(40)), rng.gen_range(20)),
                 // Touching tail.
-                3 => (cal.last().map_or(horizon, |x| x.1.as_ps()), rng.gen_range(20)),
-                // Anywhere up to the horizon, floor and history included.
-                4 => (Q * rng.gen_range(horizon / Q + 1), rng.gen_range(20)),
+                3 => (cal.last().map_or(frontier, |x| x.1.as_ps()), rng.gen_range(20)),
+                // Anywhere up to the frontier, floor and history included.
+                4 => (Q * rng.gen_range(frontier / Q + 1), rng.gen_range(20)),
                 // Aimed at one gap: fill it exactly, touch either side, or sit inside.
                 5..=7 if cal.len() >= 2 => {
                     let i = 1 + rng.gen_range(cal.len() as u64 - 1) as usize;
@@ -647,11 +694,14 @@ mod tests {
                 8 if !cal.is_empty() => {
                     let (s, e) = cal[rng.gen_range(cal.len() as u64) as usize];
                     let at = if rng.gen_bool(0.5) { s } else { e };
+                    cov.boundary_zero += u64::from(at.as_ps() >= horizon);
                     (at.as_ps(), 0)
                 }
-                _ => (horizon.saturating_sub(Q * rng.gen_range(200)), rng.gen_range(4)),
+                _ => (frontier.saturating_sub(Q * rng.gen_range(200)), rng.gen_range(4)),
             };
-            let ready_t = SimTime::from_ps(ready);
+            // No request is ever ready before the horizon.
+            let ready = ready.max(horizon);
+            let (ready_t, horizon_t) = (SimTime::from_ps(ready), SimTime::from_ps(horizon));
             let service = SimTime::from_ps(quanta * Q);
             for (u, (a, b)) in ring.units().iter().zip(&reference.units).enumerate() {
                 assert_eq!(
@@ -660,17 +710,34 @@ mod tests {
                     "step {step} unit {u}: probe"
                 );
             }
+            let ring_before = ring.units().to_vec();
             let before = reference.units.clone();
             let want = reference.acquire(ready_t, service);
-            let got = ring.book(ready_t, quanta);
-            assert_eq!(got, want, "step {step}: book({ready}, {quanta})");
-            assert_same(&ring, &reference, step);
+            let got = ring.book(horizon_t, ready_t, quanta);
+            assert_eq!(got, want, "step {step}: book({horizon}, {ready}, {quanta})");
+            assert_same(&ring, &reference, horizon_t, step);
 
-            horizon = horizon.max(want.1.as_ps());
+            frontier = frontier.max(want.1.as_ps());
             cov.backwards += u64::from(ready < last_ready);
             cov.zero_length += u64::from(quanta == 0);
             last_ready = ready;
             let (start, end) = want;
+            if let Some((old, new)) = ring_before
+                .iter()
+                .zip(ring.units())
+                .find(|(o, n)| o.floor != n.floor || !o.busy.iter().eq(&n.busy))
+            {
+                let dead_in = |t: &Timeline| t.busy.iter().take_while(|x| x.1 < horizon_t).count();
+                let dead = dead_in(old);
+                if dead_in(new) < dead {
+                    cov.prune += 1;
+                    cov.gap_after_prune +=
+                        u64::from(old.busy.back().is_some_and(|&(_, e)| start < e));
+                }
+                cov.ring_cap_evict += u64::from(
+                    old.busy.len() == MAX_INTERVALS && dead == 0 && new.floor > old.floor,
+                );
+            }
             let Some((old, new)) = before
                 .iter()
                 .zip(&reference.units)
@@ -705,7 +772,7 @@ mod tests {
             Ring::Link(BandwidthLink::new(Q, SimTime::from_ps(100))),
         ];
         for (seed, ring) in (0x5eed..).zip(rings) {
-            let cov = soup(ring, seed, 40_000);
+            let cov = soup(ring, seed, 50_000);
             let counts = [
                 cov.backwards,
                 cov.zero_length,
@@ -715,6 +782,10 @@ mod tests {
                 cov.tail_evict,
                 cov.head_drop,
                 cov.gap_evict,
+                cov.prune,
+                cov.ring_cap_evict,
+                cov.boundary_zero,
+                cov.gap_after_prune,
             ];
             assert!(
                 counts.iter().all(|&n| n >= 100),

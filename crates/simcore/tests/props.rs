@@ -98,7 +98,7 @@ fn kserver_conserves_work() {
         let mut expect = 0u64;
         for _ in 0..n {
             let (ready, svc) = (rng.gen_range(100_000), 1 + rng.gen_range(1_999));
-            s.acquire(SimTime::from_ps(ready), SimTime::from_ps(svc));
+            s.acquire(SimTime::ZERO, SimTime::from_ps(ready), SimTime::from_ps(svc));
             expect += svc;
         }
         assert_eq!(s.busy().as_ps(), expect);
@@ -115,7 +115,7 @@ fn kserver_saturated_makespan() {
         let mut s = KServer::new(1);
         let mut last = SimTime::ZERO;
         for &svc in &svcs {
-            let (_, end) = s.acquire(SimTime::ZERO, SimTime::from_ps(svc));
+            let (_, end) = s.acquire(SimTime::ZERO, SimTime::ZERO, SimTime::from_ps(svc));
             last = last.max(end);
         }
         assert_eq!(last.as_ps(), svcs.iter().sum::<u64>());
@@ -132,7 +132,7 @@ fn link_serializes_exactly() {
         let mut l = BandwidthLink::new(200, SimTime::from_ns(100));
         let mut last = SimTime::ZERO;
         for &b in &sizes {
-            let (_, arr) = l.transfer(SimTime::ZERO, b);
+            let (_, arr) = l.transfer(SimTime::ZERO, SimTime::ZERO, b);
             last = last.max(arr);
         }
         let total: u64 = sizes.iter().sum();

@@ -29,6 +29,14 @@ grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$sb" || {
   echo "simbench: seed-42 run is not correct with 0 failed checks"
   exit 1
 }
+# Peak heap is deterministic for a given build, so hold fleet-sparse's to
+# the level the horizon-pruned resource calendars reach (38.4 MiB; 45.4
+# before them), with headroom, instead of letting it slip back silently.
+heap=$(grep -oE '"fleet-sparse/peak_heap_mib": \{"value": [0-9.]+' <<<"$sb" | grep -oE '[0-9.]+$' || true)
+awk -v h="$heap" 'BEGIN { exit !(h != "" && h <= 40) }' || {
+  echo "simbench: fleet-sparse peak_heap_mib ${heap:-missing} exceeds 40 MiB"
+  exit 1
+}
 
 echo "== clippy =="
 cargo clippy --all-targets --offline -- -D warnings

@@ -108,7 +108,8 @@ fn kserver_bookings_never_overlap() {
         let mut s = KServer::new(units);
         let mut intervals: Vec<(u64, u64)> = Vec::new();
         for &(ready, service) in &reqs {
-            let (start, end) = s.acquire(SimTime::from_ps(ready), SimTime::from_ps(service));
+            let (start, end) =
+                s.acquire(SimTime::ZERO, SimTime::from_ps(ready), SimTime::from_ps(service));
             assert!(start.as_ps() >= ready, "served before ready");
             assert_eq!(end.as_ps() - start.as_ps(), service);
             intervals.push((start.as_ps(), end.as_ps()));
