@@ -286,13 +286,17 @@ pub fn burst_experiment(ctx: &RunCtx) -> Vec<Experiment> {
 // ---------------------------------------------------------------------------
 // traffic-series
 
+/// Window width of the `traffic-series` experiment, the one traffic run
+/// that asks for a latency series.
+const SERIES_WINDOW: SimTime = SimTime::from_us(100);
+
 fn series_cfg(optimized: bool, ctx: &RunCtx) -> TrafficConfig {
     TrafficConfig {
         optimized,
         bursty: true,
         offered_mops: 8.0,
         ops_per_worker: if ctx.scale.paper { 9600 } else { 2400 },
-        window: SimTime::from_us(100),
+        window: Some(SERIES_WINDOW),
         ..base_cfg(AppKind::Hashtable, ctx)
     }
 }
@@ -302,14 +306,14 @@ fn series_cfg(optimized: bool, ctx: &RunCtx) -> TrafficConfig {
 pub fn series_experiment(ctx: &RunCtx) -> Vec<Experiment> {
     let reports =
         par_map(ctx, vec![false, true], |optimized| run_traffic(&series_cfg(optimized, ctx)));
-    let window_us = series_cfg(false, ctx).window.as_us();
+    let window_us = SERIES_WINDOW.as_us();
     let mut series = Vec::new();
     let mut notes = Vec::new();
     for (optimized, r) in [false, true].into_iter().zip(&reports) {
         let label = if optimized { "optimized" } else { "basic" };
         let mut p99 = Series::new(format!("{label} p99(us)"));
         let mut goodput = Series::new(format!("{label} goodput(MOPS)"));
-        for (start, h) in r.series.windows() {
+        for (start, h) in r.series.as_ref().expect("series_cfg sets a window").windows() {
             let x = start.as_us();
             p99.push(x, h.quantile(0.99).map_or(0.0, |t| t.as_us()));
             goodput.push(x, h.count() as f64 / window_us);

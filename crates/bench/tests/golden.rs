@@ -20,6 +20,16 @@ fn table2_matches_golden() {
     assert_eq!(rendered("table2", &RunCtx::SERIAL), include_str!("golden/table2.txt"));
 }
 
+/// The one traffic run that asks for a latency series renders it
+/// unchanged.
+#[test]
+fn traffic_series_matches_golden() {
+    assert_eq!(
+        rendered("traffic-series", &RunCtx::SERIAL),
+        include_str!("golden/traffic_series.txt")
+    );
+}
+
 /// The runner's fan-out must never change results: the same experiment
 /// list rendered under a serial and a parallel worker pool is
 /// byte-identical, and output order follows submission order.

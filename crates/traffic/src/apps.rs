@@ -27,6 +27,7 @@ use crate::engine::{AppKind, Driver, TrafficConfig};
 use cluster::{ClusterConfig, ConnId, Endpoint, Testbed};
 use rnicsim::{CqeStatus, MrId, QpNum, RKey, Sge, VerbKind, WorkRequest, WrId};
 use simcore::{SimRng, SimTime};
+use std::sync::Arc;
 use workloads::{fnv64, ZipfAlias, HEADER_BYTES};
 
 /// Hashtable: key-space size (slots are [`apps::hashtable::SLOT_BYTES`]).
@@ -128,7 +129,7 @@ pub struct HtDriver {
     shadow: [MrId; 2],
     table: [MrId; 2],
     hot: [MrId; 2],
-    zipf: ZipfAlias,
+    zipf: Arc<ZipfAlias>,
     rng: SimRng,
     block_counts: Vec<u32>,
 }
@@ -291,7 +292,7 @@ pub struct JoinDriver {
     conn: ConnId,
     staging: MrId,
     tuples: RKey,
-    zipf: ZipfAlias,
+    zipf: Arc<ZipfAlias>,
     rng: SimRng,
     pending: Vec<(SimTime, u64)>,
     /// The doorbell batch, reused by every flush.
@@ -411,7 +412,10 @@ use crate::engine::OpenLoopWorker;
 /// Build the pod cluster and one open-loop worker per (pod, lane).
 ///
 /// Returns the testbed plus `(client machine, worker)` pairs in global
-/// worker-index order — the order stats are folded in.
+/// worker-index order — the order stats are folded in. The apps that draw
+/// keys (hashtable, join) build one alias table here and every worker
+/// reads it through an `Arc`: draws never write it, so sharing changes no
+/// draw and sharded runs stay byte-identical.
 pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
     use apps::hashtable::{BLOCK_ENTRIES, RING_BLOCKS, SLOT_BYTES};
     let machines = cfg.pods * 2;
@@ -424,6 +428,12 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
         ArrivalProcessChoice::Poisson(rate)
     };
     let ring_bytes = RING_BLOCKS * BLOCK_ENTRIES * SLOT_BYTES;
+    let zipf = match cfg.app {
+        AppKind::Hashtable => Some(Arc::new(ZipfAlias::paper(HT_KEYS))),
+        AppKind::Join => Some(Arc::new(ZipfAlias::paper(JOIN_TUPLES))),
+        AppKind::Shuffle | AppKind::Dlog => None,
+    };
+    let shared_zipf = || Arc::clone(zipf.as_ref().expect("key-drawing apps build a table"));
     let mut workers = Vec::with_capacity(cfg.workers());
     for pod in 0..cfg.pods {
         let client = pod * 2;
@@ -465,7 +475,7 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
                         shadow,
                         table,
                         hot,
-                        zipf: ZipfAlias::paper(HT_KEYS),
+                        zipf: shared_zipf(),
                         rng: root.split(2000 + widx as u64),
                         block_counts: vec![0; 2 * RING_BLOCKS as usize],
                     })
@@ -491,7 +501,7 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
                         conn,
                         staging,
                         tuples: rkey(tuples),
-                        zipf: ZipfAlias::paper(JOIN_TUPLES),
+                        zipf: shared_zipf(),
                         rng: root.split(2000 + widx as u64),
                         pending: Vec::new(),
                         wrs: Vec::new(),

@@ -18,9 +18,11 @@
 //! only complete when a later arrival triggers the flush. Drivers therefore
 //! report latency samples through an out-buffer of `(arrival, completion)`
 //! pairs, resolved when known — immediately for unbatched operations, at
-//! flush time for absorbed ones. Samples are windowed by *arrival* time,
-//! which is scheduling-independent, so the per-window series is
-//! byte-identical across serial/parallel/sharded runs.
+//! flush time for absorbed ones. Every sample goes into the whole-run
+//! histogram. A per-window series exists only when the config asks for
+//! one ([`TrafficConfig::window`]); its samples are windowed by *arrival*
+//! time, which is scheduling-independent, so the series is byte-identical
+//! across serial/parallel/sharded runs.
 //!
 //! # Determinism
 //!
@@ -102,8 +104,13 @@ pub struct TrafficConfig {
     pub bursty: bool,
     /// Samples arriving before this are excluded from the histogram.
     pub warmup: SimTime,
-    /// Window width of the per-run latency/throughput time series.
-    pub window: SimTime,
+    /// Window width of the per-run latency/throughput time series, or
+    /// `None` (the default) for no series. Every worker keeps one
+    /// histogram per window, stored over the span from the window's
+    /// fastest to its slowest sample, so bimodal latencies (ns shadow hits
+    /// next to µs remote ops) make each window pay for that whole span:
+    /// ask for a series only to render it.
+    pub window: Option<SimTime>,
     /// Run seed; worker streams split from it.
     pub seed: u64,
     /// Shard count for the pinned-client run (1 = the calling thread).
@@ -121,7 +128,7 @@ impl Default for TrafficConfig {
             workers_per_pod: 2,
             bursty: false,
             warmup: SimTime::from_us(50),
-            window: SimTime::from_us(500),
+            window: None,
             seed: 42,
             shards: 1,
         }
@@ -164,8 +171,9 @@ pub trait Driver: Send {
 pub struct WorkerStats {
     /// Whole-run latency distribution (post-warmup arrivals).
     pub hist: LatencyHistogram,
-    /// Windowed latency/throughput series (windowed by arrival).
-    pub series: LatencySeries,
+    /// Windowed latency/throughput series (windowed by arrival), when
+    /// [`TrafficConfig::window`] asks for one.
+    pub series: Option<LatencySeries>,
     /// Completion meter (achieved throughput).
     pub meter: Meter,
     /// Arrivals issued.
@@ -204,7 +212,7 @@ impl OpenLoopWorker {
             buf: Vec::new(),
             stats: WorkerStats {
                 hist: LatencyHistogram::new(),
-                series: LatencySeries::new(cfg.window),
+                series: cfg.window.map(LatencySeries::new),
                 meter: Meter::new(cfg.warmup),
                 issued: 0,
             },
@@ -218,7 +226,9 @@ impl OpenLoopWorker {
             if arrival >= self.warmup {
                 let lat = done - arrival;
                 self.stats.hist.record(lat);
-                self.stats.series.record(arrival, lat);
+                if let Some(series) = &mut self.stats.series {
+                    series.record(arrival, lat);
+                }
             }
         }
     }
@@ -278,8 +288,8 @@ pub struct TrafficReport {
     pub ops: u64,
     /// Folded whole-run latency distribution.
     pub hist: LatencyHistogram,
-    /// Folded windowed series.
-    pub series: LatencySeries,
+    /// Folded windowed series, when [`TrafficConfig::window`] asks for one.
+    pub series: Option<LatencySeries>,
     /// Virtual time the run finished at.
     pub finished: SimTime,
 }
@@ -313,13 +323,15 @@ pub fn run_traffic(cfg: &TrafficConfig) -> TrafficReport {
         run_clients_sharded(&mut tb, &mut pins, cfg.shards, SimTime::MAX);
     }
     let mut hist = LatencyHistogram::new();
-    let mut series = LatencySeries::new(cfg.window);
+    let mut series = cfg.window.map(LatencySeries::new);
     let mut meter = Meter::new(cfg.warmup);
     let mut finished = SimTime::ZERO;
     for (_, w) in &workers {
         debug_assert_eq!(w.stats.issued, cfg.ops_per_worker);
         hist.merge(&w.stats.hist);
-        series.merge(&w.stats.series);
+        if let (Some(series), Some(theirs)) = (&mut series, &w.stats.series) {
+            series.merge(theirs);
+        }
         meter.merge(&w.stats.meter);
         finished = finished.max(w.next_at);
     }

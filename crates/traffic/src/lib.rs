@@ -18,12 +18,14 @@
 //! * [`engine`] — [`OpenLoopWorker`], a `cluster::Client` that issues one
 //!   app operation per arrival *at the arrival time regardless of prior
 //!   completions*, records `(completion - arrival)` into a streaming
-//!   [`simcore::LatencyHistogram`] plus a windowed [`simcore::LatencySeries`],
-//!   and folds per-worker stats in deterministic worker order.
+//!   [`simcore::LatencyHistogram`] (plus a windowed
+//!   [`simcore::LatencySeries`] only when the config asks for one), and
+//!   folds per-worker stats in deterministic worker order.
 //! * [`apps`] — open-loop drivers for the four case-study apps (hashtable,
 //!   shuffle, join-probe, dlog-append), each in a `basic` and an
 //!   `optimized` (paper-guideline) variant, drawing keys from the O(1)
-//!   [`workloads::ZipfAlias`] sampler.
+//!   [`workloads::ZipfAlias`] sampler (one table per build, shared by
+//!   every worker).
 //! * [`sweep`] — offered-load sweeps and the knee finder: the maximum
 //!   offered load whose p99 stays within an app-specific SLO.
 //!

@@ -4,7 +4,7 @@
 
 use rnicsim::PROFILES;
 use simcore::SimTime;
-use traffic::{find_knee, run_traffic, sweep, AppKind, TrafficConfig};
+use traffic::{find_knee, run_traffic, sweep, AppKind, TrafficConfig, TrafficReport};
 
 fn quick(app: AppKind, optimized: bool, offered_mops: f64) -> TrafficConfig {
     TrafficConfig {
@@ -21,7 +21,9 @@ fn quick(app: AppKind, optimized: bool, offered_mops: f64) -> TrafficConfig {
 fn every_mode_is_byte_identical_for_every_app_and_variant() {
     for app in AppKind::all() {
         for optimized in [false, true] {
-            let base = quick(app, optimized, 0.4);
+            // Ask for the series so its fold across shards is covered too.
+            let base =
+                TrafficConfig { window: Some(SimTime::from_us(500)), ..quick(app, optimized, 0.4) };
             let serial = run_traffic(&base);
             assert!(serial.ops > 0, "{}: no samples", app.name());
 
@@ -37,13 +39,22 @@ fn every_mode_is_byte_identical_for_every_app_and_variant() {
             // Windowed series and meters fold identically as well.
             assert_eq!(serial.ops, sharded.ops);
             assert_eq!(serial.finished, sharded.finished);
-            let (a, b): (Vec<_>, Vec<_>) = (
-                serial.series.windows().map(|(t, h)| (t, h.digest())).collect(),
-                sharded.series.windows().map(|(t, h)| (t, h.digest())).collect(),
-            );
-            assert_eq!(a, b, "{}: series diverged", app.name());
+            let windows = |r: &TrafficReport| -> Vec<(SimTime, u64)> {
+                let series = r.series.as_ref().expect("window was asked for");
+                series.windows().map(|(t, h)| (t, h.digest())).collect()
+            };
+            let a = windows(&serial);
+            assert!(!a.is_empty(), "{}: empty series", app.name());
+            assert_eq!(a, windows(&sharded), "{}: series diverged", app.name());
         }
     }
+}
+
+#[test]
+fn default_runs_keep_no_series() {
+    let r = run_traffic(&quick(AppKind::Hashtable, true, 0.4));
+    assert!(r.ops > 0);
+    assert!(r.series.is_none(), "a run that asks for no window must keep no series");
 }
 
 #[test]

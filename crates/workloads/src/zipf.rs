@@ -75,8 +75,10 @@ impl Zipf {
 /// The CDF-based [`Zipf`] draws one uniform and pays two `powf` calls per
 /// rank — fine for thousands of closed-loop ops, hostile to an open-loop
 /// traffic engine drawing a key per arrival at millions of arrivals per
-/// run. The alias table costs O(n) floats at construction and then one
-/// `gen_range` + one `gen_f64` compare per draw, no transcendentals.
+/// run. The alias table costs O(n) floats and one `powf` per rank at
+/// construction, then one `gen_range` + one `gen_f64` compare per draw, no
+/// transcendentals. Draws only read the table, so `traffic::apps::build`
+/// makes one per app and hands every worker an `Arc` of it.
 ///
 /// This is a *separate sampler with its own draw sequence*, not a drop-in
 /// for `Zipf::rank` (the two consume randomness differently). The committed
@@ -97,10 +99,21 @@ impl ZipfAlias {
         assert!(n >= 1, "need at least one item");
         assert!(n <= u32::MAX as u64, "alias table indexes with u32");
         assert!((0.0..1.0).contains(&theta), "theta must be in (0,1)");
-        let zetan = zeta(n, theta);
-        // Scaled weights w_i = n * p_i; columns with w < 1 are "small".
-        let mut scaled: Vec<f64> =
-            (1..=n).map(|i| n as f64 / ((i as f64).powf(theta) * zetan)).collect();
+        // Each i^θ once. `zetan` folds 1/i^θ in rank order exactly as
+        // `zeta` does, and the weights w_i = n * p_i scale in place, so
+        // every float operation and operand matches a `zeta`-based build
+        // and the table is bit-identical to one.
+        let mut scaled: Vec<f64> = (1..=n).map(|i| (i as f64).powf(theta)).collect();
+        let zetan = scaled.iter().fold(0.0, |sum, p| sum + 1.0 / p);
+        for w in &mut scaled {
+            *w = n as f64 / (*w * zetan);
+        }
+        Self::from_scaled(n, scaled)
+    }
+
+    /// Vose's construction over scaled weights `w_i = n * p_i`; columns
+    /// with `w < 1` are "small".
+    fn from_scaled(n: u64, mut scaled: Vec<f64>) -> Self {
         let mut prob = vec![0.0f64; n as usize];
         let mut alias = vec![0u32; n as usize];
         // Vose's stacks, filled back-to-front for deterministic order.
@@ -272,6 +285,20 @@ mod tests {
             assert_eq!(r, z.rank(&mut b));
             assert!(z.scrambled_key(&mut a) < 1000);
             z.scrambled_key(&mut b);
+        }
+    }
+
+    #[test]
+    fn one_pass_build_is_bitwise_the_two_pass_build() {
+        for n in [1u64, 2, 3, 1000, 1 << 14, 1 << 16] {
+            let theta = 0.99;
+            let zetan = zeta(n, theta);
+            let scaled = (1..=n).map(|i| n as f64 / ((i as f64).powf(theta) * zetan)).collect();
+            let two_pass = ZipfAlias::from_scaled(n, scaled);
+            let one_pass = ZipfAlias::new(n, theta);
+            let bits = |z: &ZipfAlias| z.prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&one_pass), bits(&two_pass), "n = {n}: prob differs");
+            assert_eq!(one_pass.alias, two_pass.alias, "n = {n}: alias differs");
         }
     }
 

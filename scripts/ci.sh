@@ -37,6 +37,14 @@ awk -v h="$heap" 'BEGIN { exit !(h != "" && h <= 40) }' || {
   echo "simbench: fleet-sparse peak_heap_mib ${heap:-missing} exceeds 40 MiB"
   exit 1
 }
+# Likewise openloop-apps': its traffic runs share one Zipf alias table per
+# build and keep no per-window latency series (1.5 MiB; 16.5 when every
+# worker kept one).
+heap=$(grep -oE '"openloop-apps/peak_heap_mib": \{"value": [0-9.]+' <<<"$sb" | grep -oE '[0-9.]+$' || true)
+awk -v h="$heap" 'BEGIN { exit !(h != "" && h <= 3) }' || {
+  echo "simbench: openloop-apps peak_heap_mib ${heap:-missing} exceeds 3 MiB"
+  exit 1
+}
 
 echo "== clippy =="
 cargo clippy --all-targets --offline -- -D warnings
