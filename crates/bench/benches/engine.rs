@@ -21,27 +21,27 @@ fn bench_event_queue() {
             last
         });
     }
-    // The open-loop arrival pattern the traffic engine produces: one
-    // million timers outstanding at once, spread across ~1 s of virtual
-    // time, spread over the timing wheel's upper levels — then a
-    // steady-state churn that pops the earliest
-    // timer and re-arms it ~1 s ahead while occupancy stays at 1M.
-    bench("event_queue/wheel_1m_outstanding", 1_000_000, || {
-        let mut q = EventQueue::new();
-        let mut rng = SimRng::new(7);
-        for i in 0..1_000_000u64 {
-            q.push(SimTime::from_ps(rng.next_u64() % 1_000_000_000_000), i);
-        }
-        let mut last = SimTime::ZERO;
-        for _ in 0..1_000_000u64 {
-            let (t, i) = q.pop().expect("non-empty");
-            assert!(t >= last);
-            last = t;
-            q.push(t + SimTime::from_ms(999), i);
-        }
-        assert_eq!(q.len(), 1_000_000);
-        last
-    });
+    // Steady-state churn at the queue's peak occupancies across the
+    // experiments (448 wake-ups in `extra-qp-scale`, 56 in `fig12`): pop
+    // the earliest client and re-arm it a random 0.1–2 us ahead.
+    for &occ in &[448u64, 56] {
+        bench(&format!("event_queue/churn_{occ}"), 1_000_000, || {
+            let mut q = EventQueue::new();
+            let mut rng = SimRng::new(7);
+            for i in 0..occ {
+                q.push(SimTime::from_ps(rng.next_u64() % 2_000_000), i);
+            }
+            let mut last = SimTime::ZERO;
+            for _ in 0..1_000_000u64 {
+                let (t, i) = q.pop().expect("non-empty");
+                assert!(t >= last);
+                last = t;
+                q.push(t + SimTime::from_ps(100_000 + rng.next_u64() % 1_900_000), i);
+            }
+            assert_eq!(q.len() as u64, occ);
+            last
+        });
+    }
     // The near-future pattern run_clients produces: pop one event, push
     // its successor a short hop ahead.
     bench("event_queue/hot_loop_ticks", 1_000_000, || {

@@ -175,72 +175,6 @@ impl<F: FnMut(&mut Testbed, SimTime, u64) -> SimTime> Client for ClosedLoop<F> {
     }
 }
 
-/// A closed loop over *doorbell batches*: each step rings one doorbell
-/// for a train of up to `batch` operations and tracks the single
-/// coalesced completion the device reports for it (selective signaling —
-/// only the train's last WQE generates a CQE). Up to `window` trains stay
-/// in flight until `target` total operations have been issued; the final
-/// train is ragged when `target` is not a multiple of `batch`.
-///
-/// The per-batch closure receives the testbed, the issue time, the index
-/// of the train's first operation, and the train length, and returns the
-/// train's (sole) completion time. Compared to driving [`ClosedLoop`]
-/// with single ops, a `BatchLoop` pays the doorbell/MMIO and wake-up
-/// costs once per train instead of once per op — the engine-side half of
-/// the device's batched post pipeline.
-pub struct BatchLoop<F> {
-    op: F,
-    batch: u64,
-    window: usize,
-    target: u64,
-    issued: u64,
-    outstanding: std::collections::VecDeque<SimTime>,
-    batch_completions: Vec<SimTime>,
-}
-
-impl<F: FnMut(&mut Testbed, SimTime, u64, u64) -> SimTime> BatchLoop<F> {
-    /// A loop issuing `target` ops in trains of `batch`, keeping up to
-    /// `window` trains in flight.
-    pub fn new(batch: u64, window: usize, target: u64, op: F) -> Self {
-        assert!(batch >= 1 && window >= 1 && target >= 1);
-        BatchLoop {
-            op,
-            batch,
-            window,
-            target,
-            issued: 0,
-            outstanding: std::collections::VecDeque::with_capacity(window),
-            batch_completions: Vec::with_capacity((target / batch + 1) as usize),
-        }
-    }
-
-    /// Completion time of every train, in issue order — one entry per
-    /// doorbell, not per op.
-    pub fn batch_completions(&self) -> &[SimTime] {
-        &self.batch_completions
-    }
-}
-
-impl<F: FnMut(&mut Testbed, SimTime, u64, u64) -> SimTime> Client for BatchLoop<F> {
-    fn step(&mut self, now: SimTime, tb: &mut Testbed) -> Step {
-        let len = self.batch.min(self.target - self.issued);
-        let done = (self.op)(tb, now, self.issued, len);
-        assert!(done >= now, "batch completed before it was issued");
-        self.issued += len;
-        self.batch_completions.push(done);
-        self.outstanding.push_back(done);
-        if self.issued == self.target {
-            return Step::Done;
-        }
-        if self.outstanding.len() < self.window {
-            Step::Yield(now)
-        } else {
-            let oldest = self.outstanding.pop_front().expect("non-empty");
-            Step::Yield(oldest.max(now))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,50 +269,6 @@ mod tests {
             .flat_map(|k| [(SimTime::from_ns(50 * k), 0), (SimTime::from_ns(50 * k), 1)])
             .collect();
         assert_eq!(*log, expected);
-    }
-
-    #[test]
-    fn batch_loop_issues_full_trains_then_ragged_tail() {
-        // 10 ops in trains of 4: lengths 4, 4, 2, one completion each.
-        let lat = SimTime::from_us(1);
-        let lens = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let lens_in = lens.clone();
-        let mut bl = BatchLoop::new(4, 1, 10, move |_tb: &mut Testbed, now, first, len| {
-            lens_in.borrow_mut().push((first, len));
-            now + lat
-        });
-        let mut tb = Testbed::new(ClusterConfig::two_machines());
-        {
-            let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut bl)];
-            run_clients(&mut tb, &mut clients, SimTime::MAX);
-        }
-        assert_eq!(*lens.borrow(), vec![(0, 4), (4, 4), (8, 2)]);
-        // One coalesced completion per doorbell, serialized at 1us each.
-        assert_eq!(
-            bl.batch_completions(),
-            &[SimTime::from_us(1), SimTime::from_us(2), SimTime::from_us(3)]
-        );
-    }
-
-    #[test]
-    fn batch_loop_of_one_matches_closed_loop() {
-        let lat = SimTime::from_ns(700);
-        let mut cl = ClosedLoop::new(2, 9, move |_tb: &mut Testbed, now: SimTime, _i| now + lat);
-        let mut bl = BatchLoop::new(1, 2, 9, move |_tb: &mut Testbed, now, _first, len| {
-            assert_eq!(len, 1);
-            now + lat
-        });
-        let mut tb = Testbed::new(ClusterConfig::two_machines());
-        {
-            let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut cl)];
-            run_clients(&mut tb, &mut clients, SimTime::MAX);
-        }
-        let mut tb = Testbed::new(ClusterConfig::two_machines());
-        {
-            let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut bl)];
-            run_clients(&mut tb, &mut clients, SimTime::MAX);
-        }
-        assert_eq!(cl.completions(), bl.batch_completions());
     }
 
     /// A client writing 8 bytes across a two-machine testbed, once at

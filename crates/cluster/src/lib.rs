@@ -46,9 +46,9 @@ pub mod shard;
 pub mod testbed;
 
 pub use config::{ClusterConfig, NumaPenalties, RpcConfig};
-pub use engine::{run_clients, BatchLoop, Client, ClosedLoop, Step};
+pub use engine::{run_clients, Client, ClosedLoop, Step};
 pub use memory::{MemoryPool, Region, CHUNK_BYTES};
 pub use oracle::{DmaSpan, OracleState, Race};
 pub use replay::{replay_program, ReplayOutcome};
-pub use shard::{run_clients_sharded, shard_plan, Pinned};
+pub use shard::{run_clients_sharded, Pinned};
 pub use testbed::{ConnId, Endpoint, Machine, Testbed, Transport, UD_GRH_BYTES};

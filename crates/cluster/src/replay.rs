@@ -8,6 +8,11 @@
 //! layers and asserts the static analysis is a sound over-approximation
 //! of what the oracle actually observed.
 //!
+//! Checked mode only arms that oracle. A malformed post (out of MR
+//! bounds, a misaligned atomic) completes with an error CQE, as on real
+//! hardware, and counts in [`ReplayOutcome::failures`]; it never panics,
+//! so the fix engine's equivalence check can compare any two programs.
+//!
 //! Replay is deterministic end to end — machine construction, memory
 //! seeding, connection order, and the post/poll clock are all derived
 //! from the program text — so two replays of equivalent programs can be
@@ -293,5 +298,15 @@ mod tests {
         p.poll(QpNum(0), 1);
         let out = replay_program(&p);
         assert_eq!(out.failures, 0, "atomic on a backed region must succeed");
+    }
+
+    #[test]
+    fn out_of_bounds_posts_fail_without_panicking() {
+        let mut p = two_qp_skeleton();
+        p.post(QpNum(0), WorkRequest::write(1, Sge::new(MrId(0), 0, 64), RKey(1), 4096 - 10));
+        p.poll(QpNum(0), 1);
+        let out = replay_program(&p);
+        assert_eq!(out.completions, 1);
+        assert!(out.failures > 0);
     }
 }

@@ -12,12 +12,12 @@
 //! instead of a round-robin over the whole cluster.
 //!
 //! At one shard the components run on the calling thread against the
-//! whole testbed. At more, [`shard_plan`]'s dealing gives whole components
-//! to shards, [`Testbed::split_shards`] moves each shard's machines into a
-//! sub-testbed, and scoped threads run their shards' components in turn;
-//! per-thread [`opcount`] deltas fold back in thread order. Either way a
-//! verb that reaches outside the component being stepped panics (see
-//! `Testbed::post_into`) rather than silently reordering effects.
+//! whole testbed. At more, whole components are dealt to shards by
+//! client weight, `Testbed::split_shards` moves each shard's machines
+//! into a sub-testbed, and scoped threads run their shards' components in
+//! turn; per-thread [`opcount`] deltas fold back in thread order. Either
+//! way a verb that reaches outside the component being stepped panics
+//! (see `Testbed::post_into`) rather than silently reordering effects.
 
 use crate::engine::{drive_steps, Client};
 use crate::testbed::Testbed;
@@ -102,15 +102,6 @@ fn weights(comp: &[u32], homes: impl Iterator<Item = usize>) -> Vec<u64> {
         weight[comp[h] as usize] += 1;
     }
     weight
-}
-
-/// Partition machines across `shards` so no connection crosses a shard:
-/// whole components are dealt to shards greedily by descending client
-/// weight. Returns the owning shard of each machine.
-pub fn shard_plan(tb: &Testbed, homes: &[usize], shards: usize) -> Vec<usize> {
-    let comp = components(tb);
-    let shard = deal(&weights(&comp, homes.iter().copied()), shards);
-    comp.iter().map(|&c| shard[c as usize]).collect()
 }
 
 /// One component's clients, by component id, in global order.
@@ -440,8 +431,10 @@ mod tests {
         tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
         tb.connect(Endpoint::affine(1, 0), Endpoint::affine(2, 0));
         tb.connect(Endpoint::affine(3, 1), Endpoint::affine(4, 1));
-        assert_eq!(components(&tb), vec![0, 0, 0, 1, 1]);
-        let owner = shard_plan(&tb, &[0, 1, 3], 2);
+        let comp = components(&tb);
+        assert_eq!(comp, vec![0, 0, 0, 1, 1]);
+        let shard = deal(&weights(&comp, [0, 1, 3].into_iter()), 2);
+        let owner: Vec<usize> = comp.iter().map(|&c| shard[c as usize]).collect();
         assert_eq!(owner[0], owner[1]);
         assert_eq!(owner[1], owner[2]);
         assert_eq!(owner[3], owner[4]);

@@ -104,8 +104,8 @@ pub struct Testbed {
     cqe_scratch: Vec<Completion>,
     /// Reused gather/scatter staging buffer for data effects.
     data_scratch: Vec<u8>,
-    /// When set, every doorbell batch is statically checked before it is
-    /// simulated; error-severity findings panic (see [`Testbed::set_checked`]).
+    /// When set, the race oracle records every one-sided verb's DMA span
+    /// (see [`Testbed::set_checked`]).
     checked: bool,
     /// While pinned clients run (`crate::shard`), the connected
     /// component of every machine; empty otherwise. Verbs touching a
@@ -247,61 +247,13 @@ impl Testbed {
         self.conns[conn.0 as usize].server
     }
 
-    /// Enable or disable *checked posting*: when on, every doorbell batch
-    /// is run through the [`verbcheck`] static analyzer before it touches
-    /// the simulated hardware, and any error-severity finding (E001–E004)
-    /// panics with the rendered diagnostics. Warnings are ignored here —
-    /// use [`Testbed::check_program`] to see them.
+    /// Enable or disable *checked mode*: when on, the runtime race
+    /// oracle records the DMA span of every one-sided verb (see
+    /// [`Testbed::take_races`]). Malformed verbs need no extra check:
+    /// out-of-bounds and misaligned posts complete with an error CQE in
+    /// either mode.
     pub fn set_checked(&mut self, on: bool) {
         self.checked = on;
-    }
-
-    /// The queue-pair number a connection carries inside a
-    /// [`verbcheck::VerbProgram`]: the connection id itself, which (unlike
-    /// per-machine hardware QPNs) is unique across the whole testbed.
-    pub fn program_qp(&self, conn: ConnId) -> QpNum {
-        QpNum(conn.0)
-    }
-
-    /// A [`verbcheck::VerbProgram`] with this testbed's geometry declared
-    /// — every registered MR on every machine, and one QP per connection
-    /// (numbered by [`Testbed::program_qp`]) — but no events yet. Apps
-    /// append their posts/polls to this to make themselves analyzable.
-    pub fn program_skeleton(&self) -> verbcheck::VerbProgram {
-        let mut p = verbcheck::VerbProgram::new();
-        for (m, machine) in self.machines.iter().enumerate() {
-            for (mr, region) in machine.mem.iter() {
-                p.mr(m, mr, region.socket, region.len);
-            }
-        }
-        for (i, c) in self.conns.iter().enumerate() {
-            p.qp(
-                QpNum(i as u32),
-                c.client.machine,
-                c.server.machine,
-                self.cfg.port_socket(c.client.port),
-                self.cfg.port_socket(c.server.port),
-            );
-        }
-        p
-    }
-
-    /// Statically analyze a verb program against this testbed's device
-    /// capabilities. Returns diagnostics in event order.
-    pub fn check_program(&self, prog: &verbcheck::VerbProgram) -> Vec<verbcheck::Diagnostic> {
-        verbcheck::analyze(prog, &self.cfg.rnic.caps())
-    }
-
-    /// Statically analyze one doorbell batch as a standalone program:
-    /// the testbed's declarations plus one post per WR on `conn`. This is
-    /// what checked mode runs before simulating a batch.
-    pub fn check_batch(&self, conn: ConnId, wrs: &[WorkRequest]) -> Vec<verbcheck::Diagnostic> {
-        let mut p = self.program_skeleton();
-        let qp = self.program_qp(conn);
-        for wr in wrs {
-            p.post(qp, wr.clone());
-        }
-        self.check_program(&p)
     }
 
     /// Post a doorbell batch of work requests on `conn` at time `now`
@@ -327,13 +279,6 @@ impl Testbed {
         completions: &mut Vec<Completion>,
     ) {
         assert!(!wrs.is_empty(), "empty doorbell batch");
-        if self.checked {
-            let diags = self.check_batch(conn, wrs);
-            if verbcheck::has_errors(&diags) {
-                let rendered: String = diags.iter().map(verbcheck::Diagnostic::render).collect();
-                panic!("checked post rejected the batch:\n{rendered}");
-            }
-        }
         simcore::opcount::add(wrs.len() as u64);
         let checked = self.checked;
         let c = &self.conns[conn.0 as usize];
@@ -1052,43 +997,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "E001")]
-    fn checked_mode_panics_on_out_of_bounds_batches() {
+    fn checked_mode_completes_out_of_bounds_posts_with_an_error() {
         let (mut tb, src, dst, conn) = setup();
         tb.set_checked(true);
-        tb.post_one(
+        let cqe = tb.post_one(
             SimTime::ZERO,
             conn,
             WorkRequest::write(1, Sge::new(src, 0, 64), rkey(dst), (1 << 20) - 10),
         );
-    }
-
-    #[test]
-    fn check_batch_reports_without_simulating() {
-        let (tb, src, dst, _conn) = setup();
-        let wr = WorkRequest {
-            wr_id: WrId(1),
-            kind: VerbKind::FetchAdd { delta: 1 },
-            sgl: Sge::new(src, 0, 8).into(),
-            remote: Some((rkey(dst), 12)),
-            signaled: true,
-        };
-        let diags = tb.check_batch(ConnId(0), &[wr]);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, verbcheck::Code::E002);
-    }
-
-    #[test]
-    fn program_skeleton_declares_the_testbed_geometry() {
-        let (tb, src, _dst, conn) = setup();
-        let p = tb.program_skeleton();
-        assert_eq!(p.mrs().len(), 2);
-        assert_eq!(p.qps().len(), 1);
-        assert_eq!(p.find_mr(0, src).unwrap().len, 1 << 20);
-        let qp = p.find_qp(tb.program_qp(conn)).unwrap();
-        assert_eq!((qp.local_machine, qp.remote_machine), (0, 1));
-        // Endpoint::affine(_, 1) puts both ports on socket 1.
-        assert_eq!((qp.local_port_socket, qp.remote_port_socket), (1, 1));
+        assert_eq!(cqe.status, CqeStatus::RemoteAccessError);
+        assert!(tb.take_races().is_empty());
     }
 
     #[test]

@@ -5,19 +5,45 @@
 //! events in the same order always dequeue them in the same order — a
 //! prerequisite for reproducible runs.
 //!
-//! The queue is a [`TimingWheel`] keyed by `(at, seq)`. A wheel rather
-//! than a `BinaryHeap` because open-loop traffic keeps millions of
-//! arrival timers pending, and a heap pays a log-time sift on every one
-//! of them. The wheel pushes in O(1), pops in exact `(at, seq)` order,
-//! and is pinned byte-identical to a heap by the oracle tests below and
-//! in `tests/wheel_oracle.rs`.
+//! The queue is a `BinaryHeap` keyed by `(at, seq)`. Each open-loop
+//! worker holds its own next arrival and a closed-loop driver queues at
+//! most one wake-up per client, so the queue stays short: its peak over
+//! every `repro` experiment is 448 events (`extra-qp-scale`), where a
+//! log-time sift is a handful of compares.
 
 use crate::time::SimTime;
-use crate::wheel::TimingWheel;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+struct Entry<T> {
+    at: SimTime,
+    seq: u64,
+    payload: T,
+}
+
+// `Ord` is reversed on the `(at, seq)` key so `BinaryHeap<Entry<_>>` is a
+// min-heap; payloads never participate in comparisons. Seqs are unique, so
+// key equality identifies an entry.
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
 
 /// Min-queue of future events keyed by `(SimTime, insertion sequence)`.
 pub struct EventQueue<T> {
-    wheel: TimingWheel<T>,
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
 }
 
@@ -30,39 +56,40 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue { wheel: TimingWheel::new(), seq: 0 }
+        EventQueue { heap: BinaryHeap::new(), seq: 0 }
     }
 
     /// Schedule `payload` to fire at `at`.
     pub fn push(&mut self, at: SimTime, payload: T) {
-        self.wheel.push(at, self.seq, payload);
+        self.heap.push(Entry { at, seq: self.seq, payload });
         self.seq += 1;
     }
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.wheel.pop().map(|(at, _seq, payload)| (at, payload))
+        self.heap.pop().map(|e| (e.at, e.payload))
     }
 
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek_key().map(|(at, _)| at)
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.heap.is_empty()
     }
 
-    /// Drop every pending event and rewind to time zero, keeping the
-    /// allocations, so one queue can serve run after run.
+    /// Drop every pending event and restart the insertion sequence,
+    /// keeping the allocation, so a run that broke off at a deadline
+    /// leaves nothing behind for the next run on the same queue.
     pub fn clear(&mut self) {
-        self.wheel.clear();
+        self.heap.clear();
         self.seq = 0;
     }
 }

@@ -36,7 +36,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod wheel;
 
 pub use events::EventQueue;
 pub use lru::LruSet;
@@ -44,4 +43,3 @@ pub use resource::{BandwidthLink, KServer};
 pub use rng::SimRng;
 pub use stats::{LatencyHistogram, LatencySeries, Meter, Series, Summary};
 pub use time::{mops, ps_per_byte_gbps, ps_per_byte_gbs, service_time_for_mops, SimTime};
-pub use wheel::TimingWheel;

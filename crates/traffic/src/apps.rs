@@ -10,7 +10,8 @@
 //!
 //! A traffic cluster is `pods` independent pods of two machines: clients
 //! on machine `2p`, the served memory on machine `2p+1`. Connections never
-//! leave a pod, so `cluster::shard_plan` places whole pods per shard and
+//! leave a pod, so each pod is one connected component,
+//! `cluster::run_clients_sharded` deals whole pods to shards, and
 //! `--shards N` runs stay byte-identical to serial ones.
 //!
 //! # Batching and the linger deadline

@@ -29,8 +29,8 @@
 //! Worker RNG streams are split from the run seed by global worker index;
 //! per-worker stats are folded in worker-index order after the run. A
 //! traffic cluster is made of connection-disjoint *pods*, so
-//! `cluster::shard_plan` places whole pods on shards and the sharded run
-//! is byte-identical to the serial one.
+//! `cluster::run_clients_sharded` deals whole pods to shards and the
+//! sharded run is byte-identical to the serial one.
 
 use crate::apps::{self, AppDriver};
 use crate::arrivals::{ArrivalGen, ArrivalProcess};

@@ -12,9 +12,9 @@
 //!
 //! * [`arrivals`] — Poisson and bursty (two-state MMPP) arrival processes
 //!   at a configurable offered load, drawn from split deterministic RNG
-//!   streams. Arrival timers go through `simcore`'s [`EventQueue`], whose
-//!   far level is a hierarchical timing wheel precisely so millions of
-//!   pending arrivals stay O(1) per event.
+//!   streams. No arrival timer is queued ahead of time: each worker holds
+//!   its own next arrival and keeps one wake-up in `simcore`'s
+//!   [`EventQueue`], so the queue holds at most one entry per worker.
 //! * [`engine`] — [`OpenLoopWorker`], a `cluster::Client` that issues one
 //!   app operation per arrival *at the arrival time regardless of prior
 //!   completions*, records `(completion - arrival)` into a streaming

@@ -2,9 +2,10 @@
 //!
 //! Follows the traffic-engine topology convention: a cluster is `pods`
 //! independent two-machine pods — service clients on machine `2p`, the
-//! table server on `2p+1`. Connections never leave a pod, so
-//! `cluster::shard_plan` places whole pods per shard and `--shards N`
-//! runs are byte-identical to serial ones.
+//! table server on `2p+1`. Connections never leave a pod, so each pod is
+//! one connected component, `cluster::run_clients_sharded` deals whole
+//! pods to shards, and `--shards N` runs are byte-identical to serial
+//! ones.
 
 use crate::service::staging_bytes;
 use crate::table::TxnTable;

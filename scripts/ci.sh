@@ -29,22 +29,23 @@ grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$sb" || {
   echo "simbench: seed-42 run is not correct with 0 failed checks"
   exit 1
 }
-# Peak heap is deterministic for a given build, so hold fleet-sparse's to
-# the level the horizon-pruned resource calendars reach (38.4 MiB; 45.4
-# before them), with headroom, instead of letting it slip back silently.
-heap=$(grep -oE '"fleet-sparse/peak_heap_mib": \{"value": [0-9.]+' <<<"$sb" | grep -oE '[0-9.]+$' || true)
-awk -v h="$heap" 'BEGIN { exit !(h != "" && h <= 40) }' || {
-  echo "simbench: fleet-sparse peak_heap_mib ${heap:-missing} exceeds 40 MiB"
-  exit 1
-}
-# Likewise openloop-apps': its traffic runs share one Zipf alias table per
-# build and keep no per-window latency series (1.5 MiB; 16.5 when every
-# worker kept one).
-heap=$(grep -oE '"openloop-apps/peak_heap_mib": \{"value": [0-9.]+' <<<"$sb" | grep -oE '[0-9.]+$' || true)
-awk -v h="$heap" 'BEGIN { exit !(h != "" && h <= 3) }' || {
-  echo "simbench: openloop-apps peak_heap_mib ${heap:-missing} exceeds 3 MiB"
-  exit 1
-}
+# Peak heap is deterministic for a given build, so hold each workload's
+# to the level it has reached, with headroom, instead of letting it slip
+# back silently:
+# - fleet-sparse: horizon-pruned resource calendars (38.4 MiB; 45.4
+#   before them);
+# - openloop-apps: one Zipf alias table per build and no per-window
+#   latency series (1.5 MiB; 16.5 when every worker kept one);
+# - apps-closed: 12.5 MiB;
+# - txn-rw: allocation-free transactions (0.15 MiB; 8.2 before them).
+for gate in fleet-sparse:40 openloop-apps:3 apps-closed:13 txn-rw:0.5; do
+  w=${gate%:*} cap=${gate#*:}
+  heap=$(grep -oE "\"$w/peak_heap_mib\": \\{\"value\": [0-9.]+" <<<"$sb" | grep -oE '[0-9.]+$' || true)
+  awk -v h="$heap" -v cap="$cap" 'BEGIN { exit !(h != "" && h <= cap) }' || {
+    echo "simbench: $w peak_heap_mib ${heap:-missing} exceeds $cap MiB"
+    exit 1
+  }
+done
 
 echo "== clippy =="
 cargo clippy --all-targets --offline -- -D warnings
