@@ -420,7 +420,7 @@ pub fn extra_recovery() -> Vec<Experiment> {
 }
 
 /// Extension: the disaggregated hashtable under the standard YCSB mixes
-/// (the paper's workload citation [10]), showing that the consolidation +
+/// (the paper's workload citation \[10\]), showing that the consolidation +
 /// hot-shadow design also serves read-heavy traffic (scenario I: remote
 /// memory behind a front-end cache).
 pub fn extra_ycsb() -> Vec<Experiment> {

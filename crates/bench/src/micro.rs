@@ -1042,7 +1042,7 @@ pub fn extra_qp_scale() -> Vec<Experiment> {
     }]
 }
 
-/// Extension (related work [17], Frey & Alonso): memory registration is
+/// Extension (related work \[17\], Frey & Alonso): memory registration is
 /// the hidden cost of RDMA. (a) registration latency vs region size;
 /// (b) a 4 KB transfer that registers its buffer on the IO path vs one
 /// using a pre-registered pool.

@@ -32,6 +32,8 @@
 //! [`try_slice`]: MemoryPool::try_slice
 //! [`try_slice_mut`]: MemoryPool::try_slice_mut
 //! [`read_view`]: MemoryPool::read_view
+//! [`read_into`]: MemoryPool::read_into
+//! [`write`]: MemoryPool::write
 
 use rnicsim::MrId;
 

@@ -56,7 +56,7 @@ pub enum Transport {
     Uc,
     /// Unreliable Datagram: connectionless Sends with a 40-byte GRH. One
     /// server-side QP serves every peer, sidestepping QP-context-cache
-    /// pressure (the FaSST/[26] argument the paper cites in §III-E).
+    /// pressure (the FaSST/\[26\] argument the paper cites in §III-E).
     Ud,
 }
 

@@ -10,7 +10,7 @@
 
 use cluster::{ClusterConfig, Endpoint, MemoryPool, Testbed};
 use rnicsim::{RKey, Sge, VerbKind, WorkRequest, WrId, INLINE_SGES};
-use simcore::{BandwidthLink, KServer, LatencyHistogram, SimRng, SimTime};
+use simcore::{BandwidthLink, KServer, LatencyHistogram, LruSet, SimRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -20,6 +20,8 @@ thread_local! {
     /// `(allocation calls, bytes requested)` on this thread. `realloc`
     /// counts as one call requesting its whole new size.
     static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Bytes allocated and not yet freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
@@ -30,6 +32,10 @@ fn count(bytes: usize) {
     });
 }
 
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+}
+
 /// `(calls, bytes)` allocated on this thread while running `f`.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
     let before = ALLOCS.with(Cell::get);
@@ -38,16 +44,26 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
     ((after.0 - before.0, after.1 - before.1), out)
 }
 
+/// Bytes that `f` leaves allocated on this thread, held by its result.
+fn live_bytes_of<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (LIVE.with(Cell::get) - before, out)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        live(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -233,7 +249,23 @@ fn registration_and_testbed_cost_is_independent_of_size() {
     };
     assert_eq!(
         testbed_bytes(1024),
-        testbed_bytes(65536),
+        testbed_bytes(65_535),
         "MTT cache capacity must not pre-pay index memory"
     );
+}
+
+/// A NIC cache's resident keys cost 16 B each, whatever its capacity:
+/// a 12 B node and two 2 B slots of the at most half-full index. At
+/// fleet scale these caches are the largest host-memory cost.
+#[test]
+fn lru_sets_hold_a_key_in_sixteen_bytes() {
+    let (bytes, set) = live_bytes_of(|| {
+        let mut set = LruSet::new(1024);
+        for key in 0..512 {
+            set.access(key);
+        }
+        set
+    });
+    assert_eq!(set.len(), 512);
+    assert!(bytes <= 16 * 512, "512 resident keys hold {bytes} bytes");
 }

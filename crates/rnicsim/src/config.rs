@@ -69,7 +69,8 @@ pub struct RnicConfig {
 
     // ---- on-device SRAM metadata caches (§II-B2) ----
     /// MTT cache capacity in page-translation entries (1024 × 4 KB = 4 MB
-    /// of coverage, matching Fig 6(d)'s knee).
+    /// of coverage, matching Fig 6(d)'s knee). At most 65,535: the cache
+    /// indexes its entries with `u16` to keep each at 16 B of host heap.
     pub mtt_cache_entries: usize,
     /// Registered-memory page size.
     pub page_bytes: u64,
@@ -80,7 +81,8 @@ pub struct RnicConfig {
     /// (occupies the unit); the remainder overlaps with later packets.
     /// This is what caps random-access throughput in Fig 6.
     pub mtt_miss_occupancy: SimTime,
-    /// QP-context cache capacity in QPs.
+    /// QP-context cache capacity in QPs, at most 65,535 (the same `u16`
+    /// cap as `mtt_cache_entries`).
     pub qpc_cache_entries: usize,
     /// Penalty for a QP-context miss (context reload from host memory).
     pub qpc_miss_penalty: SimTime,
@@ -203,6 +205,10 @@ impl DeviceCaps {
 
     /// A BlueField-2-like DPU: DPU-class SRAM (256 MB MTT coverage) and
     /// very deep queues for on-card proxy workloads.
+    ///
+    /// Like every profile this is static lint geometry for `verbcheck`;
+    /// no simulated `Rnic` is built from it. Its 65,536 MTT entries are
+    /// one above the 65,535 a simulated NIC's cache can hold.
     pub const fn bluefield2() -> Self {
         DeviceCaps {
             max_sge: 64,

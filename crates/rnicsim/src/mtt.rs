@@ -17,6 +17,7 @@ pub struct MttCache {
 
 impl MttCache {
     /// A cache holding `entries` page translations for `page_bytes` pages.
+    /// `entries` is at most 65,535, the `simcore::LruSet` cap.
     pub fn new(entries: usize, page_bytes: u64) -> Self {
         assert!(page_bytes.is_power_of_two(), "page size must be a power of two");
         MttCache { lru: LruSet::new(entries), page_bytes }

@@ -12,7 +12,8 @@
 //! costs more than the rest of the bookkeeping combined. Instead it keeps
 //!
 //! * a slab of nodes forming an intrusive doubly linked recency list
-//!   (`head` = MRU, `tail` = LRU), and
+//!   (`head` = MRU, `tail` = LRU), held as parallel `keys` and `links`
+//!   arrays, and
 //! * an open-addressed index: a power-of-two table of node indices probed
 //!   linearly from a multiplicative (Fibonacci) hash of the key, with
 //!   backward-shift deletion so no tombstones accumulate.
@@ -21,19 +22,33 @@
 //! set fills; once the set reaches its fixed capacity the table size is
 //! stable and `access` performs **no allocation** (the steady-state
 //! zero-alloc property the cluster testbed's hot path relies on).
+//!
+//! Node links and index slots are `u16`, so a node is 12 B (its `u64`
+//! key plus a 4 B pair of links, in separate arrays so neither pads the
+//! other) and an index slot 2 B: a resident key costs 16 B with the
+//! half-full index (24 B with `u32` indices). At fleet scale these caches
+//! are the simulator's largest host-memory cost (one MTT and one QPC
+//! cache per NIC, thousands of NICs), so the bytes per entry matter. The
+//! price is a capacity cap of 65,535 keys (`u16::MAX` is the `NIL`
+//! link), far above any simulated NIC's cache: the ConnectX-3 defaults
+//! hold 1,024 MTT and 256 QPC entries.
 
-const NIL: u32 = u32::MAX;
+const NIL: u16 = u16::MAX;
+
+/// Largest capacity `LruSet::new` accepts: every node index must fit a
+/// `u16` other than `NIL`.
+const MAX_CAPACITY: usize = NIL as usize;
 
 /// Fibonacci hashing multiplier (`2^64 / φ`, odd): a single `wrapping_mul`
 /// mixes low-entropy keys (page numbers, QP ids) well enough for a
 /// half-full linear-probed table.
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// A node's recency links; its key sits at the same index of `keys`.
 #[derive(Clone, Copy)]
-struct Node {
-    key: u64,
-    prev: u32,
-    next: u32,
+struct Link {
+    prev: u16,
+    next: u16,
 }
 
 /// Fixed-capacity LRU set over `u64` keys.
@@ -42,25 +57,30 @@ pub struct LruSet {
     capacity: usize,
     /// Open-addressed index: slot → node index, `NIL` when empty. Length
     /// is a power of two, load factor ≤ 1/2.
-    table: Box<[u32]>,
+    table: Box<[u16]>,
     /// `table.len() - 1`, for cheap wraparound.
     mask: usize,
     /// Slot of a key's first probe: the top `log2(table.len())` bits of
     /// the mixed hash, i.e. `mixed >> shift`.
     shift: u32,
-    nodes: Vec<Node>,
-    free: Vec<u32>,
+    /// The node slab, as parallel arrays indexed by node.
+    keys: Vec<u64>,
+    links: Vec<Link>,
+    free: Vec<u16>,
     len: usize,
-    head: u32, // most recently used
-    tail: u32, // least recently used
+    head: u16, // most recently used
+    tail: u16, // least recently used
     hits: u64,
     misses: u64,
 }
 
 impl LruSet {
-    /// An empty set that holds at most `capacity ≥ 1` keys.
+    /// An empty set that holds at most `capacity` keys, with
+    /// `1 ≤ capacity ≤ 65,535`: nodes are indexed with `u16`, which keeps
+    /// a resident key at 16 B.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "LruSet capacity must be at least 1");
+        assert!(capacity <= MAX_CAPACITY, "LruSet capacity {capacity} exceeds {MAX_CAPACITY}");
         // Start at 8 slots whatever the capacity and double while filling:
         // the index costs what the set holds, not what it could hold, so a
         // fleet of mostly idle NIC caches stays cheap.
@@ -70,7 +90,8 @@ impl LruSet {
             table: vec![NIL; table_len].into_boxed_slice(),
             mask: table_len - 1,
             shift: 64 - table_len.trailing_zeros(),
-            nodes: Vec::new(),
+            keys: Vec::new(),
+            links: Vec::new(),
             free: Vec::new(),
             len: 0,
             head: NIL,
@@ -87,7 +108,7 @@ impl LruSet {
         // MRU fast path: repeated touches of the hottest key (sequential
         // page runs, one active QP) skip even the index probe. Semantics
         // are unchanged — moving the head to the front is a no-op.
-        if self.head != NIL && self.nodes[self.head as usize].key == key {
+        if self.head != NIL && self.keys[self.head as usize] == key {
             self.hits += 1;
             return true;
         }
@@ -151,7 +172,8 @@ impl LruSet {
     /// Drop all resident keys and statistics.
     pub fn clear(&mut self) {
         self.table.fill(NIL);
-        self.nodes.clear();
+        self.keys.clear();
+        self.links.clear();
         self.free.clear();
         self.len = 0;
         self.head = NIL;
@@ -176,7 +198,7 @@ impl LruSet {
             if idx == NIL {
                 return None;
             }
-            if self.nodes[idx as usize].key == key {
+            if self.keys[idx as usize] == key {
                 return Some(slot);
             }
             slot = (slot + 1) & self.mask;
@@ -184,7 +206,7 @@ impl LruSet {
     }
 
     /// Index `node` under `key` (which must not be resident).
-    fn index_insert(&mut self, key: u64, node: u32) {
+    fn index_insert(&mut self, key: u64, node: u16) {
         let mut slot = self.home(key);
         while self.table[slot] != NIL {
             slot = (slot + 1) & self.mask;
@@ -204,7 +226,7 @@ impl LruSet {
             if idx == NIL {
                 break;
             }
-            let home = self.home(self.nodes[idx as usize].key);
+            let home = self.home(self.keys[idx as usize]);
             // The entry may fill the hole iff the hole lies on its probe
             // path, i.e. cyclically within [home, slot].
             if hole.wrapping_sub(home) & self.mask <= slot.wrapping_sub(home) & self.mask {
@@ -224,9 +246,8 @@ impl LruSet {
         self.shift = 64 - table_len.trailing_zeros();
         let mut idx = self.head;
         while idx != NIL {
-            let node = self.nodes[idx as usize];
-            self.index_insert(node.key, idx);
-            idx = node.next;
+            self.index_insert(self.keys[idx as usize], idx);
+            idx = self.links[idx as usize].next;
         }
     }
 
@@ -237,16 +258,19 @@ impl LruSet {
         if 2 * (self.len + 1) > self.table.len() {
             self.grow();
         }
+        let link = Link { prev: NIL, next: self.head };
         let idx = if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = Node { key, prev: NIL, next: self.head };
+            self.keys[idx as usize] = key;
+            self.links[idx as usize] = link;
             idx
         } else {
-            let idx = self.nodes.len() as u32;
-            self.nodes.push(Node { key, prev: NIL, next: self.head });
+            let idx = self.keys.len() as u16;
+            self.keys.push(key);
+            self.links.push(link);
             idx
         };
         if self.head != NIL {
-            self.nodes[self.head as usize].prev = idx;
+            self.links[self.head as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -259,11 +283,10 @@ impl LruSet {
     fn evict_tail(&mut self) {
         let idx = self.tail;
         debug_assert!(idx != NIL, "evict from empty LruSet");
-        let node = self.nodes[idx as usize];
-        self.index_remove(node.key);
-        self.tail = node.prev;
+        self.index_remove(self.keys[idx as usize]);
+        self.tail = self.links[idx as usize].prev;
         if self.tail != NIL {
-            self.nodes[self.tail as usize].next = NIL;
+            self.links[self.tail as usize].next = NIL;
         } else {
             self.head = NIL;
         }
@@ -271,25 +294,24 @@ impl LruSet {
         self.len -= 1;
     }
 
-    fn move_to_front(&mut self, idx: u32) {
+    fn move_to_front(&mut self, idx: u16) {
         if self.head == idx {
             return;
         }
-        let node = self.nodes[idx as usize];
+        let Link { prev, next } = self.links[idx as usize];
         // Unlink.
-        if node.prev != NIL {
-            self.nodes[node.prev as usize].next = node.next;
+        if prev != NIL {
+            self.links[prev as usize].next = next;
         }
-        if node.next != NIL {
-            self.nodes[node.next as usize].prev = node.prev;
+        if next != NIL {
+            self.links[next as usize].prev = prev;
         } else {
-            self.tail = node.prev;
+            self.tail = prev;
         }
         // Relink at head.
-        self.nodes[idx as usize].prev = NIL;
-        self.nodes[idx as usize].next = self.head;
+        self.links[idx as usize] = Link { prev: NIL, next: self.head };
         if self.head != NIL {
-            self.nodes[self.head as usize].prev = idx;
+            self.links[self.head as usize].prev = idx;
         }
         self.head = idx;
     }
@@ -380,7 +402,7 @@ mod tests {
             c.access(k);
         }
         // Slab should not have grown past capacity + O(1).
-        assert!(c.nodes.len() <= 4, "slab grew to {}", c.nodes.len());
+        assert!(c.keys.len() <= 4, "slab grew to {}", c.keys.len());
     }
 
     #[test]
@@ -396,7 +418,7 @@ mod tests {
             c.access(k);
         }
         assert_eq!(c.table.len(), table_len);
-        assert!(c.nodes.len() <= 65);
+        assert!(c.keys.len() <= 65);
         assert_eq!(c.len(), 64);
     }
 
@@ -404,11 +426,11 @@ mod tests {
     /// slots, doubles while filling (hit/miss-exact against a reference
     /// LRU), and stays fixed under churn once full. The reference orders
     /// keys by last-use stamp — same semantics as the `lru_props` naive
-    /// model, but O(log n), so 65536 entries stay cheap in a debug build.
+    /// model, but O(log n), so 65,535 entries stay cheap in a debug build.
     #[test]
     fn huge_capacity_index_grows_on_demand_then_stays_fixed() {
         use std::collections::{BTreeMap, HashMap};
-        const CAP: usize = 65536;
+        const CAP: usize = MAX_CAPACITY;
         let mut c = LruSet::new(CAP);
         assert_eq!(c.table.len(), 8, "index must not be sized by capacity");
         let (mut stamps, mut by_age) = (HashMap::new(), BTreeMap::new());
@@ -446,14 +468,41 @@ mod tests {
         }
         assert_eq!(c.len(), CAP);
         let doublings: Vec<usize> = (3..=17).map(|b| 1 << b).collect();
-        assert_eq!(sizes, doublings, "index grows by doubling up to 2 × capacity");
+        assert_eq!(sizes, doublings, "index grows by doubling to the power of two ≥ 2 × capacity");
         // Churn at capacity: hits, misses and evictions, no more growth.
         for _ in 0..100_000 {
             access(&mut c, rng.gen_range(2 * CAP as u64));
         }
-        assert_eq!(c.table.len(), 2 * CAP);
-        assert!(c.nodes.len() <= CAP + 1);
+        assert_eq!(c.table.len(), 1 << 17);
+        assert!(c.keys.len() <= CAP + 1);
         assert_eq!(c.len(), CAP);
+    }
+
+    /// At the largest capacity every node index is a valid `u16` link:
+    /// a full set re-touched in order evicts exactly its oldest key.
+    /// Checked in O(n), not against a reference model, so it stays cheap
+    /// in a debug build.
+    #[test]
+    fn max_capacity_evicts_exactly_the_least_recent_key() {
+        const CAP: u64 = MAX_CAPACITY as u64;
+        let mut c = LruSet::new(MAX_CAPACITY);
+        for k in 0..CAP {
+            assert!(!c.access(k));
+        }
+        for k in 0..CAP {
+            assert!(c.access(k), "key {k} lost before capacity was exceeded");
+        }
+        assert!(!c.access(CAP));
+        assert_eq!(c.len(), MAX_CAPACITY);
+        assert!(!c.contains(0), "key 0 is the least recent and must go");
+        assert!((1..=CAP).all(|k| c.contains(k)));
+        assert!(c.keys.len() <= MAX_CAPACITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65535")]
+    fn capacity_above_the_u16_index_is_rejected() {
+        LruSet::new(65_536);
     }
 
     /// Colliding probe chains survive eviction: backward-shift deletion

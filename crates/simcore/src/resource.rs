@@ -10,7 +10,7 @@
 //!   proportional to the transferred byte count, plus a fixed propagation
 //!   latency paid after serialization completes.
 //!
-//! Both are backed by a [`Timeline`]: a busy-interval calendar that serves
+//! Both are backed by a `Timeline`: a busy-interval calendar that serves
 //! requests in **arrival (ready-time) order**, not booking order. This
 //! matters because the simulator computes a whole verb pipeline when the
 //! verb is *posted*, booking downstream resources up to a round-trip into

@@ -85,7 +85,7 @@ const HIST_SUBS: usize = 1 << HIST_SUB_BITS;
 
 /// Streaming log-bucketed latency histogram (HDR-style).
 ///
-/// Values below [`HIST_LINEAR_MAX`] ps are exact; above, each octave is
+/// Values below `HIST_LINEAR_MAX` (256) ps are exact; above, each octave is
 /// split into 128 subbuckets, so any reported quantile is the true bucket
 /// lower bound and under-reads the exact order statistic by less than
 /// 1/128. The full `u64` picosecond range has 7424 buckets, but only the

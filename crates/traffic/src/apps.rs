@@ -19,10 +19,10 @@
 //! A batching driver holds arrivals until the batch fills. Under open-loop
 //! arrivals the wait is unbounded at low load, so each batching driver
 //! also exposes a *linger deadline* — the oldest buffered arrival plus a
-//! small bound — and the [`OpenLoopWorker`](crate::engine::OpenLoopWorker)
-//! wakes at that deadline to flush short batches. Tail latency of the
-//! optimized variants is therefore `linger + flush` at low load and
-//! batch-amortized at high load, which is the real trade batching makes.
+//! small bound — and the [`OpenLoopWorker`] wakes at that deadline to
+//! flush short batches. Tail latency of the optimized variants is
+//! therefore `linger + flush` at low load and batch-amortized at high
+//! load, which is the real trade batching makes.
 
 use crate::engine::{AppKind, Driver, TrafficConfig};
 use cluster::{ClusterConfig, ConnId, Endpoint, Testbed};

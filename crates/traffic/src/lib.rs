@@ -26,7 +26,7 @@
 //!   `optimized` (paper-guideline) variant, drawing keys from the O(1)
 //!   [`workloads::ZipfAlias`] sampler (one table per build, shared by
 //!   every worker).
-//! * [`sweep`] — offered-load sweeps and the knee finder: the maximum
+//! * [`sweep`](mod@sweep) — offered-load sweeps and the knee finder: the maximum
 //!   offered load whose p99 stays within an app-specific SLO.
 //!
 //! Everything is deterministic: serial, parallel, and `--shards N` runs

@@ -104,9 +104,9 @@ const KNEE_BISECT: u32 = 10;
 const GOODPUT_FLOOR: f64 = 0.95;
 
 /// Find the maximum offered load whose p99 stays ≤ `slo` while goodput
-/// tracks the offered load (≥ [`GOODPUT_FLOOR`] of it).
+/// tracks the offered load (≥ `GOODPUT_FLOOR`, 95 %, of it).
 ///
-/// Doubles from [`KNEE_FLOOR`] until the SLO breaks (bracketing), then
+/// Doubles from `KNEE_FLOOR` (0.05) until the SLO breaks (bracketing), then
 /// bisects the bracket. Returns a zero knee when even the floor load
 /// breaks the SLO, and the cap when nothing does.
 pub fn find_knee(base: &TrafficConfig, slo: SimTime) -> Knee {

@@ -3,7 +3,7 @@
 //! Where [`engine`](crate::engine) drives the case-study apps directly,
 //! this module drives them *through* the transactional service layer:
 //! each pod hosts one [`TxnService`] whose tenants issue app-shaped
-//! [`TxnRequest`] streams (hashtable RMW, shuffle puts, join snapshots,
+//! [`TxnRequest`](txn::TxnRequest) streams (hashtable RMW, shuffle puts, join snapshots,
 //! dlog shared-tail bumps) at Poisson or bursty open-loop rates.
 //!
 //! The sweep axes are the contention story the subsystem exists to

@@ -10,7 +10,7 @@
 //!
 //! A [`VerbProgram`] is the analyzable form of what an application does:
 //! MR and QP declarations plus an ordered sequence of posts and poll
-//! points. [`analyze`] walks it once and reports:
+//! points. [`analyze`](fn@analyze) walks it once and reports:
 //!
 //! | code | severity | rule |
 //! |---|---|---|

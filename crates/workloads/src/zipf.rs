@@ -2,7 +2,7 @@
 //!
 //! The paper's hashtable evaluation uses "skewed workloads generated
 //! according to Zipf distribution with parameter 0.99" (§IV-B), citing the
-//! YCSB benchmark [10]. This is the standard Gray et al. rejection-free
+//! YCSB benchmark \[10\]. This is the standard Gray et al. rejection-free
 //! generator with precomputed zeta values, plus the YCSB *scrambled*
 //! variant that spreads hot ranks across the key space.
 
@@ -111,40 +111,48 @@ impl ZipfAlias {
         Self::from_scaled(n, scaled)
     }
 
-    /// Vose's construction over scaled weights `w_i = n * p_i`; columns
-    /// with `w < 1` are "small".
+    /// Vose's construction over scaled weights `w_i = n * p_i`, in place;
+    /// columns with `w < 1` are "small".
+    ///
+    /// A small column's weight is final once it leaves the small stack, so
+    /// `scaled` itself becomes `prob`. Vose's two work stacks are linked
+    /// lists threaded through `alias` (`alias[i]` is the column below `i`,
+    /// `END` the bottom), and a column's real alias is written when it
+    /// leaves the stacks. The build allocates only the final table: 12 B
+    /// per rank.
     fn from_scaled(n: u64, mut scaled: Vec<f64>) -> Self {
-        let mut prob = vec![0.0f64; n as usize];
+        const END: u32 = u32::MAX;
         let mut alias = vec![0u32; n as usize];
-        // Vose's stacks, filled back-to-front for deterministic order.
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for i in (0..n as usize).rev() {
-            if scaled[i] < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
+        // Both stacks, filled back-to-front for deterministic order; this
+        // writes every `alias` entry.
+        let (mut small, mut large) = (END, END);
+        for i in (0..n as u32).rev() {
+            let top = if scaled[i as usize] < 1.0 { &mut small } else { &mut large };
+            alias[i as usize] = *top;
+            *top = i;
         }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            let si = s as usize;
-            let li = l as usize;
-            prob[si] = scaled[si];
-            alias[si] = l;
+        while small != END && large != END {
+            let (s, l) = (small as usize, large as usize);
+            small = alias[s];
+            alias[s] = large;
             // The large column donates the remainder of this column.
-            scaled[li] = (scaled[li] + scaled[si]) - 1.0;
-            if scaled[li] < 1.0 {
-                large.pop();
-                small.push(l);
+            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+            if scaled[l] < 1.0 {
+                large = alias[l];
+                alias[l] = small;
+                small = l as u32;
             }
         }
         // Residue (floating-point dust): full columns.
-        for &i in small.iter().chain(large.iter()) {
-            prob[i as usize] = 1.0;
-            alias[i as usize] = i;
+        for mut top in [small, large] {
+            while top != END {
+                let i = top as usize;
+                top = alias[i];
+                scaled[i] = 1.0;
+                alias[i] = i as u32;
+            }
         }
-        ZipfAlias { n, prob, alias }
+        ZipfAlias { n, prob: scaled, alias }
     }
 
     /// The paper's configuration: skew 0.99.
@@ -299,6 +307,54 @@ mod tests {
             let bits = |z: &ZipfAlias| z.prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&one_pass), bits(&two_pass), "n = {n}: prob differs");
             assert_eq!(one_pass.alias, two_pass.alias, "n = {n}: alias differs");
+        }
+    }
+
+    /// Textbook Vose with `Vec` work stacks: the reference the in-place
+    /// `from_scaled` must match bit for bit.
+    fn textbook_vose(n: u64, mut scaled: Vec<f64>) -> (Vec<f64>, Vec<u32>) {
+        let mut prob = vec![0.0f64; n as usize];
+        let mut alias = vec![0u32; n as usize];
+        let mut small: Vec<u32> = Vec::new();
+        let mut large: Vec<u32> = Vec::new();
+        for i in (0..n as usize).rev() {
+            if scaled[i] < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            let (si, li) = (s as usize, l as usize);
+            prob[si] = scaled[si];
+            alias[si] = l;
+            scaled[li] = (scaled[li] + scaled[si]) - 1.0;
+            if scaled[li] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        for &i in small.iter().chain(large.iter()) {
+            prob[i as usize] = 1.0;
+            alias[i as usize] = i;
+        }
+        (prob, alias)
+    }
+
+    #[test]
+    fn in_place_build_is_bitwise_textbook_vose() {
+        for theta in [0.5, 0.99] {
+            for n in [1u64, 2, 3, 1000, 1 << 14, 1 << 16] {
+                let zetan = zeta(n, theta);
+                let scaled: Vec<f64> =
+                    (1..=n).map(|i| n as f64 / ((i as f64).powf(theta) * zetan)).collect();
+                let (prob, alias) = textbook_vose(n, scaled.clone());
+                let z = ZipfAlias::from_scaled(n, scaled);
+                let bits = |p: &[f64]| p.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&z.prob), bits(&prob), "n = {n}, θ = {theta}: prob differs");
+                assert_eq!(z.alias, alias, "n = {n}, θ = {theta}: alias differs");
+            }
         }
     }
 
