@@ -254,13 +254,18 @@ fn append(cfg: &DlogConfig) -> (DlogReport, Testbed, MrId) {
     let reserved = tb.machine(log_machine).mem.load_u64(counter, 0);
     let expected_bytes = total_records * cfg.record_bytes();
     let raw = tb.machine(log_machine).mem.read(log, 0, expected_bytes);
-    let records = scan_log(&raw);
+    // An engine appends its batches one after another, so its records
+    // scan back in sequence order: record `seq` is its `seq`-th.
     let mut per_engine = vec![0u64; cfg.engines];
-    for r in &records {
-        per_engine[r.engine as usize] += 1;
+    let mut dense = true;
+    for r in scan_log(&raw) {
+        let seen = &mut per_engine[r.engine as usize];
+        dense &= u64::from(r.seq) == *seen;
+        *seen += 1;
     }
+    // Full per-engine counts also make the total `total_records`.
     let verified = reserved == expected_bytes
-        && records.len() as u64 == total_records
+        && dense
         && per_engine.iter().all(|&c| c == cfg.records_per_engine);
 
     let mops = meter.borrow().mops();
@@ -346,7 +351,7 @@ pub fn recovery_scan(
     /// CPU cost of validating + applying one record during replay.
     const REPLAY_COST: SimTime = SimTime::from_ns(120);
     let raw = tb.machine(log_machine).mem.read(log, 0, log_bytes);
-    let records = scan_log(&raw);
+    let records: Vec<Record> = scan_log(&raw).collect();
     let stream = SimTime::from_ps(log_bytes * tb.cfg.host.stream_ps_per_byte(false));
     let t = stream + REPLAY_COST * records.len() as u64;
     (records, t)

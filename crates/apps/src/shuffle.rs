@@ -342,6 +342,12 @@ pub fn verb_program(cfg: &ShuffleConfig) -> verbcheck::VerbProgram {
     p
 }
 
+/// Producer `p`'s entry stream: the entries that fill its input region,
+/// regenerated identically when the run is verified.
+fn producer_stream(cfg: &ShuffleConfig, root_rng: &SimRng, p: usize) -> EntryStream {
+    EntryStream::new(cfg.entries_per_executor, cfg.value_len, root_rng.split(p as u64))
+}
+
 /// Run one shuffle and verify delivery.
 pub fn run_shuffle(cfg: &ShuffleConfig) -> ShuffleReport {
     assert!(cfg.executors >= 2, "shuffle needs at least two executors");
@@ -363,18 +369,13 @@ pub fn run_shuffle(cfg: &ShuffleConfig) -> ShuffleReport {
     // Input regions: fill with real encoded entries.
     let meter = Rc::new(RefCell::new(Meter::new(SimTime::from_us(20))));
     let mut clients: Vec<Box<dyn Client>> = Vec::new();
-    let mut produced_entries: Vec<Vec<Entry>> = Vec::new();
     for p in 0..cfg.executors {
         let (machine, socket) = executor_place(cfg, p);
         let input = tb.register(machine, socket, cfg.entries_per_executor * entry_bytes + 4096);
         let staging = tb.register(machine, socket, 64 * entry_bytes + 4096);
-        let stream =
-            EntryStream::new(cfg.entries_per_executor, cfg.value_len, root_rng.split(p as u64));
-        let entries: Vec<Entry> = stream.collect();
-        for (i, e) in entries.iter().enumerate() {
+        for (i, e) in producer_stream(cfg, &root_rng, p).enumerate() {
             tb.machine_mut(machine).mem.write(input, i as u64 * entry_bytes, &e.encode());
         }
-        produced_entries.push(entries);
 
         let mut conns = Vec::new();
         let mut slabs = Vec::new();
@@ -429,25 +430,24 @@ pub fn run_shuffle(cfg: &ShuffleConfig) -> ShuffleReport {
     let barrier_ok = sync_val == cfg.executors as u64;
 
     // Verify delivery: every produced entry is present, intact, at its
-    // correct consumer's slab for its producer.
+    // correct consumer's slab for its producer. Each producer's stream is
+    // regenerated and walked once with one slab cursor per consumer: a
+    // producer's pushes to one consumer land in its slab there in stream
+    // order.
     let mut delivered = 0u64;
     let mut intact = true;
-    for c in 0..cfg.executors {
-        let (cm, _) = executor_place(cfg, c);
-        for p in 0..cfg.executors {
-            let base = p as u64 * slab_bytes;
-            let mut off = base;
-            let expect: Vec<&Entry> =
-                produced_entries[p].iter().filter(|e| e.destination(cfg.executors) == c).collect();
-            for e in expect {
-                let raw = tb.machine(cm).mem.read(recv_regions[c], off, entry_bytes);
-                let got = Entry::decode(&raw, cfg.value_len);
-                if &got != e {
-                    intact = false;
-                }
-                off += entry_bytes;
-                delivered += 1;
+    let mut scratch = Vec::new();
+    for p in 0..cfg.executors {
+        let mut cursors = vec![p as u64 * slab_bytes; cfg.executors];
+        for e in producer_stream(cfg, &root_rng, p) {
+            let c = e.destination(cfg.executors);
+            let mem = &tb.machine(executor_place(cfg, c).0).mem;
+            let got = mem.read_view(recv_regions[c], cursors[c], entry_bytes, &mut scratch);
+            if got.map(|raw| Entry::decode(raw, cfg.value_len)).as_ref() != Some(&e) {
+                intact = false;
             }
+            cursors[c] += entry_bytes;
+            delivered += 1;
         }
     }
     let total = cfg.entries_per_executor * cfg.executors as u64;

@@ -4,8 +4,9 @@
 //! Applications in this reproduction move *actual data* — the hashtable
 //! stores key-value bytes, the join joins real tuples — so correctness is
 //! checkable, while all timing comes from the device models. A backed
-//! region is a table of fixed-size page slots ([`CHUNK_BYTES`] = 4 KiB,
-//! the RNIC's MTT page size); registration allocates nothing. An
+//! region is a table of fixed-size page slots ([`CHUNK_BYTES`] = 512 B,
+//! sized to the apps' scattered record writes; the RNIC's MTT page is a
+//! separate, timing-only setting); registration allocates nothing. An
 //! untouched page reads as zeros (served from one static zero page, like
 //! the kernel's shared zero page); the first write of *non-zero* bytes
 //! materializes it, growing the slot table just far enough to hold it.
@@ -37,11 +38,27 @@
 
 use rnicsim::MrId;
 
-/// Chunk (page) size of sparse backed regions. 4 KiB, the page the RNIC
-/// translates through its MTT: a sparsely-touched region materializes
-/// only the pages its writes land in, and verb payloads are small enough
-/// that the seam fallback of the slice fast paths stays rare.
-pub const CHUNK_BYTES: u64 = 4 * 1024;
+/// Chunk (page) size of sparse backed regions: the granule in which the
+/// simulator stores bytes, not the RNIC's MTT page (that is
+/// `RnicConfig::page_bytes`, which timing uses). A sparsely-touched region
+/// materializes only the pages its writes land in, so the page should be
+/// near the size of an app's scattered writes: the §IV-B hashtable puts
+/// one 80 B image in each 128 B slot of two 16 MiB tables. Seed-42
+/// `simbench` peak heap in MiB by page size, for the `hashtable-basic`
+/// call alone, then whole `apps-closed` and `fleet-sparse`:
+///
+/// | page | `hashtable-basic` | `apps-closed` | `fleet-sparse` |
+/// | --- | --- | --- | --- |
+/// | 256 B | 3.22 | 4.49 | 26.5 |
+/// | 512 B | 3.08 | 4.33 | 26.7 |
+/// | 1 KiB | 4.26 | 4.35 | 27.2 |
+/// | 4 KiB | 12.51 | 12.51 | 30.2 |
+///
+/// Below 512 B the 16 B slot per page costs more than the bytes a smaller
+/// page saves. A span that crosses a page seam (any payload above 512 B
+/// does) takes the byte-identical assembling fallback of the slice fast
+/// paths.
+pub const CHUNK_BYTES: u64 = 512;
 
 /// Frame of [`MemoryPool::resident_digest`]: 64 KiB, fixed independently
 /// of [`CHUNK_BYTES`] so that digests pinned by experiments and
@@ -104,17 +121,20 @@ fn chunk(chunks: &[Option<Box<[u8]>>], ci: usize) -> Option<&[u8]> {
 }
 
 /// The slot of chunk `ci`, growing the table to cover it — only
-/// materialization calls this. Growth doubles (amortized O(1) per chunk)
-/// but is capped at the region's `slots`, so the table never outgrows an
-/// eagerly sized one.
+/// materialization calls this. The capacity doubles (amortized O(1) per
+/// chunk) only when `ci` lies past it, so a table holds at most twice the
+/// slots up to its highest page, and is capped at the region's `slots`,
+/// so it never outgrows an eagerly sized one.
 fn slot_mut(
     chunks: &mut Vec<Option<Box<[u8]>>>,
     ci: usize,
     slots: usize,
 ) -> &mut Option<Box<[u8]>> {
-    if ci >= chunks.len() {
+    if ci >= chunks.capacity() {
         let cap = (2 * chunks.capacity()).clamp(ci + 1, slots);
         chunks.reserve_exact(cap - chunks.len());
+    }
+    if ci >= chunks.len() {
         chunks.resize_with(ci + 1, || None);
     }
     &mut chunks[ci]
@@ -629,7 +649,7 @@ mod tests {
     fn zero_writes_are_elided() {
         let mut m = MemoryPool::new();
         let mr = m.register(0, 4 * CHUNK_BYTES);
-        m.write(mr, 0, &[0u8; 4096]);
+        m.write(mr, 0, &[0u8; CHUNK_BYTES as usize]);
         assert_eq!(m.resident_bytes(), 0, "all-zero write is elided");
         m.write_zeros(mr, 2 * CHUNK_BYTES, CHUNK_BYTES);
         assert_eq!(m.resident_bytes(), 0);
@@ -828,7 +848,7 @@ mod tests {
 
     #[test]
     fn zero_pages_fold_as_the_byte_loop_does() {
-        for n in [0, 1, 7, 4095, CHUNK_BYTES as usize] {
+        for n in [0, 1, 7, CHUNK_BYTES as usize - 1, CHUNK_BYTES as usize] {
             assert_eq!(fnv1a_zeros(FNV_OFFSET, n), fnv1a(FNV_OFFSET, &ZERO_CHUNK[..n]), "{n}");
         }
         let mut rng = simcore::SimRng::new(0xd16e57);

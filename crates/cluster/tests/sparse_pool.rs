@@ -219,7 +219,7 @@ fn assert_reads_match(pool: &MemoryPool, model: &DenseModel, mr: MrId, off: u64,
 fn slot_table_growth_edges_match_dense_reference_model() {
     let mut pool = MemoryPool::new();
     let mut model = DenseModel::default();
-    let tail = 1234;
+    let tail = CHUNK_BYTES * 5 / 8;
     let len = 5 * CHUNK_BYTES + tail; // chunk 5 is short
     let a = pool.register(0, len);
     let b = pool.register(0, len);
@@ -399,12 +399,12 @@ impl FrameReference {
 }
 
 /// An offset for a `n`-byte span of a `len`-byte region, biased so that
-/// about half the spans start just before a 4 KiB or 64 KiB seam and
+/// about half the spans start just before a page or 64 KiB seam and
 /// straddle it.
 fn seam_offset(rng: &mut SimRng, len: u64, n: u64) -> u64 {
     let room = len - n + 1;
     if rng.gen_bool(0.5) {
-        let grain = if rng.gen_bool(0.5) { 4096 } else { FRAME };
+        let grain = if rng.gen_bool(0.5) { CHUNK_BYTES } else { FRAME };
         let seam = grain * (1 + rng.gen_range((len / grain).max(1)));
         let off = seam.saturating_sub(1 + rng.gen_range(n.min(64)));
         if off < room {
@@ -416,7 +416,7 @@ fn seam_offset(rng: &mut SimRng, len: u64, n: u64) -> u64 {
 
 /// `resident_digest` is defined over 64 KiB frames, so it does not depend
 /// on the page size: after a seeded soup of zero and nonzero writes,
-/// `write_zeros`, `copy_within` and `store_u64` (spans straddling 4 KiB
+/// `write_zeros`, `copy_within` and `store_u64` (spans straddling page
 /// and 64 KiB seams, one region not a multiple of 64 KiB), every region's
 /// digest equals the frame reference's.
 #[test]

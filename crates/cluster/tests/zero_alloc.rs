@@ -269,3 +269,30 @@ fn lru_sets_hold_a_key_in_sixteen_bytes() {
     assert_eq!(set.len(), 512);
     assert!(bytes <= 16 * 512, "512 resident keys hold {bytes} bytes");
 }
+
+/// Scattered small writes cost a small page each: 1,000 80 B images
+/// (the §IV-B hashtable's `[version | key | value]` record) in 128 B
+/// slots 4 KiB apart across a 16 MiB region hold at most one 512 B page
+/// and 16 B of slack per image, plus the slot table up to the highest
+/// page, which doubles while growing and so holds at most twice the
+/// slots it covers. With 4 KiB pages each image would hold 4 KiB.
+#[test]
+fn scattered_small_writes_cost_a_small_page_each() {
+    const IMAGES: u64 = 1_000;
+    const PAGE_BUDGET: u64 = 512;
+    let offset = |i: u64| i * 4096 + (i * 7 % 32) * 128;
+    let (bytes, pool) = live_bytes_of(|| {
+        let mut pool = MemoryPool::new();
+        let mr = pool.register(0, 16 << 20);
+        for i in 0..IMAGES {
+            let image: Vec<u8> = (0..80).map(|b| (i + b) as u8 | 1).collect();
+            pool.write(mr, offset(i), &image);
+        }
+        pool
+    });
+    assert_eq!(pool.resident_bytes(), IMAGES * cluster::CHUNK_BYTES);
+    let slots = offset(IMAGES - 1) / cluster::CHUNK_BYTES + 1;
+    let slot_table = 2 * slots * std::mem::size_of::<Option<Box<[u8]>>>() as u64;
+    let budget = IMAGES * (PAGE_BUDGET + 16) + slot_table;
+    assert!(bytes as u64 <= budget, "{IMAGES} scattered images hold {bytes} bytes, over {budget}");
+}

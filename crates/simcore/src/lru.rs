@@ -66,7 +66,6 @@ pub struct LruSet {
     /// The node slab, as parallel arrays indexed by node.
     keys: Vec<u64>,
     links: Vec<Link>,
-    free: Vec<u16>,
     len: usize,
     head: u16, // most recently used
     tail: u16, // least recently used
@@ -92,7 +91,6 @@ impl LruSet {
             shift: 64 - table_len.trailing_zeros(),
             keys: Vec::new(),
             links: Vec::new(),
-            free: Vec::new(),
             len: 0,
             head: NIL,
             tail: NIL,
@@ -174,7 +172,6 @@ impl LruSet {
         self.table.fill(NIL);
         self.keys.clear();
         self.links.clear();
-        self.free.clear();
         self.len = 0;
         self.head = NIL;
         self.tail = NIL;
@@ -251,23 +248,27 @@ impl LruSet {
         }
     }
 
+    /// Make `key` the most recent. A full set reuses the node it evicts;
+    /// otherwise the slab grows by one node (a set below capacity has
+    /// never evicted, so its slab holds no unused node).
     fn insert_front(&mut self, key: u64) {
-        if self.len == self.capacity {
-            self.evict_tail();
-        }
+        let evicted = (self.len == self.capacity).then(|| self.evict_tail());
         if 2 * (self.len + 1) > self.table.len() {
             self.grow();
         }
         let link = Link { prev: NIL, next: self.head };
-        let idx = if let Some(idx) = self.free.pop() {
-            self.keys[idx as usize] = key;
-            self.links[idx as usize] = link;
-            idx
-        } else {
-            let idx = self.keys.len() as u16;
-            self.keys.push(key);
-            self.links.push(link);
-            idx
+        let idx = match evicted {
+            Some(idx) => {
+                self.keys[idx as usize] = key;
+                self.links[idx as usize] = link;
+                idx
+            }
+            None => {
+                let idx = self.keys.len() as u16;
+                self.keys.push(key);
+                self.links.push(link);
+                idx
+            }
         };
         if self.head != NIL {
             self.links[self.head as usize].prev = idx;
@@ -280,7 +281,8 @@ impl LruSet {
         self.len += 1;
     }
 
-    fn evict_tail(&mut self) {
+    /// Unlink and unindex the least recent key; returns its node.
+    fn evict_tail(&mut self) -> u16 {
         let idx = self.tail;
         debug_assert!(idx != NIL, "evict from empty LruSet");
         self.index_remove(self.keys[idx as usize]);
@@ -290,8 +292,8 @@ impl LruSet {
         } else {
             self.head = NIL;
         }
-        self.free.push(idx);
         self.len -= 1;
+        idx
     }
 
     fn move_to_front(&mut self, idx: u16) {

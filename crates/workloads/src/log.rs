@@ -76,20 +76,18 @@ impl Record {
     }
 }
 
-/// Scan a log prefix, returning records until the first invalid slot.
-pub fn scan(log: &[u8]) -> Vec<Record> {
-    let mut out = Vec::new();
+/// Scan a log prefix: yields records in log order until the first
+/// invalid slot. Lazy, so a verifier can count records without holding
+/// them; callers that need the records `collect` them.
+pub fn scan(log: &[u8]) -> impl Iterator<Item = Record> + '_ {
     let mut off = 0usize;
-    while let Some((rec, used)) = Record::decode(&log[off..]) {
+    std::iter::from_fn(move || {
         // An all-zero slot fails the header-covering CRC, so unwritten
-        // space terminates the scan naturally.
-        out.push(rec);
+        // space terminates the scan naturally, as does the log's end.
+        let (rec, used) = Record::decode(&log[off..])?;
         off += used;
-        if off >= log.len() {
-            break;
-        }
-    }
-    out
+        Some(rec)
+    })
 }
 
 /// Small table-free CRC-32 (IEEE), enough to catch torn writes.
@@ -142,7 +140,7 @@ mod tests {
             log.extend_from_slice(&Record::synthetic(2, seq, 24).encode());
         }
         log.extend_from_slice(&[0u8; 256]); // unwritten tail
-        let recs = scan(&log);
+        let recs: Vec<Record> = scan(&log).collect();
         assert_eq!(recs.len(), 10);
         assert!(recs.iter().enumerate().all(|(i, r)| r.seq == i as u32));
     }

@@ -119,7 +119,7 @@ fn scan_is_prefix_safe() {
             log.extend_from_slice(&Record::synthetic(9, seq as u32, 24).encode());
         }
         log.extend_from_slice(&garbage);
-        let recs = scan_log(&log);
+        let recs: Vec<Record> = scan_log(&log).collect();
         assert!(recs.len() >= n, "lost valid records");
         // The first n are exactly what we wrote.
         for (seq, r) in recs.iter().take(n).enumerate() {

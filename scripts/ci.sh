@@ -32,14 +32,19 @@ grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$sb" || {
 # Peak heap is deterministic for a given build, so hold each workload's
 # to the level it has reached, with headroom, instead of letting it slip
 # back silently:
-# - fleet-sparse: horizon-pruned resource calendars and 16 B NIC cache
-#   entries (30.3 MiB; 38.4 with 24 B entries, 45.4 before the pruning);
+# - fleet-sparse: horizon-pruned resource calendars, 16 B NIC cache
+#   entries and 512 B sparse-pool pages (26.7 MiB; 30.3 with 4 KiB pages,
+#   whose 1,024 random-fleet source head pages held 4 MiB, 38.4 with
+#   24 B entries, 45.4 before the pruning);
 # - openloop-apps: one Zipf alias table per build, built in place, and
 #   no per-window latency series (0.78 MiB; 1.5 with Vose's work stacks
 #   beside the table, 16.5 when every worker kept a series);
-# - apps-closed: 12.5 MiB;
+# - apps-closed: 512 B pages and verifiers that regenerate the shuffle's
+#   entries and count the log's records as they scan (4.3 MiB; 12.5 with
+#   4 KiB pages, where each of the hashtable's 7,200 scattered 80 B
+#   inserts held a whole page);
 # - txn-rw: allocation-free transactions (0.15 MiB; 8.2 before them).
-for gate in fleet-sparse:32 openloop-apps:1 apps-closed:13 txn-rw:0.5; do
+for gate in fleet-sparse:28 openloop-apps:1 apps-closed:5 txn-rw:0.5; do
   w=${gate%:*} cap=${gate#*:}
   heap=$(grep -oE "\"$w/peak_heap_mib\": \\{\"value\": [0-9.]+" <<<"$sb" | grep -oE '[0-9.]+$' || true)
   awk -v h="$heap" -v cap="$cap" 'BEGIN { exit !(h != "" && h <= cap) }' || {

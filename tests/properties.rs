@@ -165,7 +165,7 @@ fn log_records_round_trip() {
             log.extend_from_slice(&r.encode());
         }
         log.extend_from_slice(&[0u8; 64]);
-        let back = scan_log(&log);
+        let back: Vec<Record> = scan_log(&log).collect();
         assert_eq!(back.len(), bodies.len());
         for (i, r) in back.iter().enumerate() {
             assert_eq!(&r.body, &bodies[i]);
