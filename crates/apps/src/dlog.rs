@@ -17,7 +17,7 @@
 //!   that owns the NIC port; without it the engine marshals records out
 //!   of data tables on the alternate socket at QPI-crossing cost.
 
-use cluster::{run_clients, Client, ClusterConfig, ConnId, Endpoint, Step, Testbed};
+use cluster::{run_clients, Client, ClusterConfig, ConnId, Endpoint, MemoryPool, Step, Testbed};
 use remem::RemoteSequencer;
 use rnicsim::{CqeStatus, MrId, RKey, Sge, WorkRequest};
 use simcore::{Meter, SimTime};
@@ -248,28 +248,49 @@ fn append(cfg: &DlogConfig) -> (DlogReport, Testbed, MrId) {
     let makespan = run_clients(&mut tb, &mut clients, SimTime::MAX);
     drop(clients);
 
-    // Verify: the counter equals the bytes appended; the log scans back as
-    // exactly `total_records` valid records; every engine's sequence
-    // numbers are dense.
-    let reserved = tb.machine(log_machine).mem.load_u64(counter, 0);
-    let expected_bytes = total_records * cfg.record_bytes();
-    let raw = tb.machine(log_machine).mem.read(log, 0, expected_bytes);
+    let verified = verify_log(&tb.machine(log_machine).mem, log, counter, cfg);
+    let mops = meter.borrow().mops();
+    (DlogReport { mops, makespan, records: total_records, verified }, tb, log)
+}
+
+/// Bytes of log the verifier reads at a time.
+const SCAN_WINDOW: u64 = 64 * 1024;
+
+/// Verify the log: the counter equals the bytes appended; the log scans
+/// back as exactly `records_per_engine` valid records per engine; every
+/// engine's sequence numbers are dense. The scan reads the log through
+/// one reused window of whole records (every record is `record_bytes`
+/// long), so it never holds a copy of the log.
+fn verify_log(mem: &MemoryPool, log: MrId, counter: MrId, cfg: &DlogConfig) -> bool {
+    let expected_bytes = cfg.records_per_engine * cfg.engines as u64 * cfg.record_bytes();
+    let window = cfg.record_bytes() * (SCAN_WINDOW / cfg.record_bytes()).max(1);
+    let mut buf = Vec::with_capacity(window.min(expected_bytes) as usize);
     // An engine appends its batches one after another, so its records
     // scan back in sequence order: record `seq` is its `seq`-th.
     let mut per_engine = vec![0u64; cfg.engines];
     let mut dense = true;
-    for r in scan_log(&raw) {
-        let seen = &mut per_engine[r.engine as usize];
-        dense &= u64::from(r.seq) == *seen;
-        *seen += 1;
+    let mut off = 0;
+    while off < expected_bytes {
+        let n = window.min(expected_bytes - off);
+        buf.clear();
+        mem.read_into(log, off, n, &mut buf);
+        let mut used = 0;
+        for r in scan_log(&buf) {
+            let seen = &mut per_engine[r.engine as usize];
+            dense &= u64::from(r.seq) == *seen;
+            *seen += 1;
+            used += r.encoded_len();
+        }
+        off += n;
+        // A slot that does not decode ends the log.
+        if used < n {
+            break;
+        }
     }
     // Full per-engine counts also make the total `total_records`.
-    let verified = reserved == expected_bytes
+    mem.load_u64(counter, 0) == expected_bytes
         && dense
-        && per_engine.iter().all(|&c| c == cfg.records_per_engine);
-
-    let mops = meter.borrow().mops();
-    (DlogReport { mops, makespan, records: total_records, verified }, tb, log)
+        && per_engine.iter().all(|&c| c == cfg.records_per_engine)
 }
 
 #[cfg(test)]
@@ -284,6 +305,28 @@ mod tests {
             records_per_engine: 600,
             ..Default::default()
         })
+    }
+
+    /// One flipped byte anywhere in the log (a header in the first scan
+    /// window, a body in a later one, the last record's last byte) fails
+    /// the verifier, and flipping it back passes it again.
+    #[test]
+    fn one_flipped_record_byte_fails_verification() {
+        let cfg = DlogConfig { engines: 3, records_per_engine: 600, ..Default::default() };
+        let (report, mut tb, log) = append(&cfg);
+        assert!(report.verified);
+        // The counter is registered right after the log.
+        let counter = MrId(log.0 + 1);
+        let end = report.records * cfg.record_bytes();
+        assert!(end > 2 * SCAN_WINDOW);
+        let mem = &mut tb.machine_mut(cfg.machines - 1).mem;
+        for off in [5, SCAN_WINDOW + 100, end - 1] {
+            let byte = mem.read(log, off, 1)[0];
+            mem.write(log, off, &[byte ^ 0x10]);
+            assert!(!verify_log(mem, log, counter, &cfg), "flip at {off} passed");
+            mem.write(log, off, &[byte]);
+            assert!(verify_log(mem, log, counter, &cfg), "restored log at {off} failed");
+        }
     }
 
     #[test]

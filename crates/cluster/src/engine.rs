@@ -81,32 +81,25 @@ pub(crate) fn drive_steps(
     last: &mut SimTime,
     step: &mut dyn FnMut(&mut Testbed, SimTime, usize) -> Step,
 ) {
-    'drive: while let Some((mut now, i)) = q.pop() {
+    'drive: while let Some((mut now, mut i)) = q.pop() {
         if now > deadline {
             break;
         }
-        *last = (*last).max(now);
         loop {
+            *last = (*last).max(now);
             tb.set_horizon(now);
             let next = step(tb, now, i);
             assert!(tb.posts_below_horizon() == 0, "client {i} posted below the horizon {now}");
             let Step::Yield(t) = next else { break };
             assert!(t >= now, "client {i} yielded into the past");
-            // Fast path: if no pending event fires at or before `t`, this
-            // client is next anyway — re-step it inline instead of a
-            // pop/re-push round trip through the queue. An *equal*-time
-            // pending event was enqueued earlier and must fire first, so
-            // only a strictly later (or absent) queue head lets us
-            // continue.
-            if q.peek_time().is_some_and(|pt| pt <= t) {
-                q.push(t, i);
-                break;
-            }
-            if t > deadline {
+            // Queue the wake-up and take the earliest event in one step:
+            // if no pending event fires at or before `t`, this client is
+            // next anyway and comes straight back without a round trip
+            // through the heap.
+            (now, i) = q.push_pop(t, i);
+            if now > deadline {
                 break 'drive;
             }
-            *last = (*last).max(t);
-            now = t;
         }
     }
     tb.set_horizon(SimTime::ZERO);

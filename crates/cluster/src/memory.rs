@@ -22,19 +22,27 @@
 //!
 //! MR ids are dense and never reused (deregistration leaves a hole), so
 //! the pool is a plain `Vec` indexed by id — region lookup on the verb hot
-//! path is a bounds-checked array index, not a hash. The data-effect fast
-//! paths ([`try_slice`]/[`try_slice_mut`]) expose a span as one borrowed
-//! slice when it lies inside a single page (the common case: verb
-//! payloads are tens to hundreds of bytes); a span that crosses a page
-//! seam returns `None` and callers fall back to the scratch-assembled
-//! paths ([`read_view`]/[`read_into`]/[`write`]), which are
-//! byte-identical.
+//! path is a bounds-checked array index, not a hash.
 //!
+//! Verb data effects move bytes with [`copy_from`] (between two
+//! machines' pools), the CPU-gather path with [`copy_within`] (inside
+//! one pool), and both walk the same pieces: spans bounded by the page
+//! seams of both the source and the destination. A piece whose source
+//! page is unbacked or unmaterialized passes on as zeros without being
+//! read; a materialized piece landing on an unmaterialized page is
+//! tested for zeros with one slice compare against the shared zero page.
+//! Nothing is staged, so the post path holds no scratch buffer. Readers
+//! off the post path (verifiers, tests) still borrow a span as one
+//! slice when it lies inside a single page ([`try_slice`]/
+//! [`try_slice_mut`]), or assemble a seam-crossing span into a scratch
+//! buffer ([`read_view`]/[`read_into`]); all of these are byte-identical.
+//!
+//! [`copy_from`]: MemoryPool::copy_from
+//! [`copy_within`]: MemoryPool::copy_within
 //! [`try_slice`]: MemoryPool::try_slice
 //! [`try_slice_mut`]: MemoryPool::try_slice_mut
 //! [`read_view`]: MemoryPool::read_view
 //! [`read_into`]: MemoryPool::read_into
-//! [`write`]: MemoryPool::write
 
 use rnicsim::MrId;
 
@@ -56,8 +64,7 @@ use rnicsim::MrId;
 ///
 /// Below 512 B the 16 B slot per page costs more than the bytes a smaller
 /// page saves. A span that crosses a page seam (any payload above 512 B
-/// does) takes the byte-identical assembling fallback of the slice fast
-/// paths.
+/// does) is copied one page piece at a time.
 pub const CHUNK_BYTES: u64 = 512;
 
 /// Frame of [`MemoryPool::resident_digest`]: 64 KiB, fixed independently
@@ -367,9 +374,10 @@ impl MemoryPool {
 
     /// Copy `len` bytes between two *distinct* regions of this pool in
     /// one bulk move — the CPU-gather (SP) path uses this instead of
-    /// staging through a temporary. An unbacked source copies zeros; an
-    /// unbacked destination discards the copy. Panics if out of bounds or
-    /// if the regions are the same.
+    /// staging through a temporary. Same piece walk and contract as
+    /// [`copy_from`]; panics if the regions are the same.
+    ///
+    /// [`copy_from`]: MemoryPool::copy_from
     pub fn copy_within(&mut self, src: MrId, src_off: u64, dst: MrId, dst_off: u64, len: u64) {
         assert_ne!(src, dst, "copy_within needs two distinct regions");
         let (a, b) = (src.0 as usize, dst.0 as usize);
@@ -378,29 +386,26 @@ impl MemoryPool {
             if a < b { (lo[a].as_ref(), hi[0].as_mut()) } else { (hi[0].as_ref(), lo[b].as_mut()) };
         let src_r = src_r.expect("unknown source MR");
         let dst_r = dst_r.expect("unknown destination MR");
-        assert!(src_off.checked_add(len).is_some_and(|e| e <= src_r.len), "read out of bounds");
-        assert!(dst_off.checked_add(len).is_some_and(|e| e <= dst_r.len), "write out of bounds");
-        if !dst_r.is_backed() {
-            return;
-        }
-        // Walk sub-spans bounded by both the source and destination chunk
-        // seams: each step is one contiguous copy (or a zero-fill / an
-        // elided zero write when the source piece reads as zeros).
-        let resident = &mut self.resident;
-        let mut done = 0u64;
-        while done < len {
-            let (so, doff) = (src_off + done, dst_off + done);
-            let src_rem = CHUNK_BYTES - so % CHUNK_BYTES;
-            let dst_rem = CHUNK_BYTES - doff % CHUNK_BYTES;
-            let n = (len - done).min(src_rem).min(dst_rem) as usize;
-            let piece = match &src_r.backing {
-                Backing::Unbacked => None,
-                Backing::Sparse(chunks) => chunk(chunks, (so / CHUNK_BYTES) as usize)
-                    .map(|c| &c[(so % CHUNK_BYTES) as usize..(so % CHUNK_BYTES) as usize + n]),
-            };
-            *resident += write_piece(dst_r, doff, n, piece);
-            done += n as u64;
-        }
+        self.resident += copy_pieces(src_r, src_off, dst_r, dst_off, len);
+    }
+
+    /// Copy `len` bytes from region `src` of another pool (another
+    /// machine's memory) into region `dst` of this one — how verb data
+    /// effects move bytes, with no staging buffer. An unbacked source
+    /// copies zeros; an unbacked destination discards the copy. Panics
+    /// if either span is out of bounds.
+    pub fn copy_from(
+        &mut self,
+        dst: MrId,
+        dst_off: u64,
+        from: &MemoryPool,
+        src: MrId,
+        src_off: u64,
+        len: u64,
+    ) {
+        let src_r = from.region(src).expect("unknown source MR");
+        let dst_r = self.regions[dst.0 as usize].as_mut().expect("unknown destination MR");
+        self.resident += copy_pieces(src_r, src_off, dst_r, dst_off, len);
     }
 
     /// Write bytes (discarded if the region is unbacked). All-zero spans
@@ -420,25 +425,6 @@ impl MemoryPool {
             let n = ((len - done).min(CHUNK_BYTES - off % CHUNK_BYTES)) as usize;
             let piece = &bytes[done as usize..done as usize + n];
             *resident += write_piece(r, off, n, Some(piece));
-            done += n as u64;
-        }
-    }
-
-    /// Write `len` zero bytes (discarded if unbacked; elided on
-    /// unmaterialized chunks) — lets callers propagate "reads as zeros"
-    /// without staging an actual zero buffer.
-    pub fn write_zeros(&mut self, mr: MrId, offset: u64, len: u64) {
-        let resident = &mut self.resident;
-        let r = self.regions[mr.0 as usize].as_mut().expect("unknown MR");
-        assert!(offset.checked_add(len).is_some_and(|e| e <= r.len), "write out of bounds");
-        if !r.is_backed() {
-            return;
-        }
-        let mut done = 0u64;
-        while done < len {
-            let off = offset + done;
-            let n = ((len - done).min(CHUNK_BYTES - off % CHUNK_BYTES)) as usize;
-            *resident += write_piece(r, off, n, None);
             done += n as u64;
         }
     }
@@ -550,6 +536,36 @@ fn fnv1a_zeros(h: u64, n: usize) -> u64 {
     h.wrapping_mul(pow)
 }
 
+/// Copy `len` bytes from `src_r` at `src_off` into `dst_r` at `dst_off`,
+/// one piece per span bounded by both regions' page seams: a piece is one
+/// contiguous copy, or "zeros" when the source page is unbacked or
+/// unmaterialized, which is passed on without reading it (and elided on
+/// an unmaterialized destination page). Returns the bytes newly
+/// materialized. Panics if either span is out of bounds.
+fn copy_pieces(src_r: &Region, src_off: u64, dst_r: &mut Region, dst_off: u64, len: u64) -> u64 {
+    assert!(src_off.checked_add(len).is_some_and(|e| e <= src_r.len), "read out of bounds");
+    assert!(dst_off.checked_add(len).is_some_and(|e| e <= dst_r.len), "write out of bounds");
+    if !dst_r.is_backed() {
+        return 0;
+    }
+    let mut materialized = 0;
+    let mut done = 0u64;
+    while done < len {
+        let (so, doff) = (src_off + done, dst_off + done);
+        let src_rem = CHUNK_BYTES - so % CHUNK_BYTES;
+        let dst_rem = CHUNK_BYTES - doff % CHUNK_BYTES;
+        let n = (len - done).min(src_rem).min(dst_rem) as usize;
+        let piece = match &src_r.backing {
+            Backing::Unbacked => None,
+            Backing::Sparse(chunks) => chunk(chunks, (so / CHUNK_BYTES) as usize)
+                .map(|c| &c[(so % CHUNK_BYTES) as usize..(so % CHUNK_BYTES) as usize + n]),
+        };
+        materialized += write_piece(dst_r, doff, n, piece);
+        done += n as u64;
+    }
+    materialized
+}
+
 /// Write one chunk-bounded piece into a backed region: `piece = None`
 /// means "len zeros". Copies into a materialized chunk; materializes on
 /// first non-zero write; elides zero writes to unmaterialized chunks.
@@ -571,7 +587,7 @@ fn write_piece(r: &mut Region, off: u64, len: usize, piece: Option<&[u8]>) -> u6
             c[co..co + len].fill(0);
             0
         }
-        (None, Some(p)) if p.iter().any(|&b| b != 0) => {
+        (None, Some(p)) if p != &ZERO_CHUNK[..len] => {
             let mut c = vec![0u8; chunk_len].into_boxed_slice();
             c[co..co + len].copy_from_slice(p);
             *slot_mut(chunks, ci, slots) = Some(c);
@@ -651,7 +667,7 @@ mod tests {
         let mr = m.register(0, 4 * CHUNK_BYTES);
         m.write(mr, 0, &[0u8; CHUNK_BYTES as usize]);
         assert_eq!(m.resident_bytes(), 0, "all-zero write is elided");
-        m.write_zeros(mr, 2 * CHUNK_BYTES, CHUNK_BYTES);
+        m.write(mr, 2 * CHUNK_BYTES, &[0u8; CHUNK_BYTES as usize]);
         assert_eq!(m.resident_bytes(), 0);
         // Once a chunk is materialized, zero writes land in it normally.
         m.write(mr, 10, b"xyz");
@@ -784,6 +800,96 @@ mod tests {
         let before = m.resident_bytes();
         m.copy_within(a, 3 * CHUNK_BYTES, b, 3 * CHUNK_BYTES, 512);
         assert_eq!(m.resident_bytes(), before, "zero-copy of zeros stays sparse");
+    }
+
+    /// An offset for a `len`-byte span of a `region_len` region: half the
+    /// time the span starts or ends within a byte of a page seam.
+    fn seam_biased(rng: &mut simcore::SimRng, region_len: u64, len: u64) -> u64 {
+        if rng.gen_bool(0.5) {
+            let seam = CHUNK_BYTES * (1 + rng.gen_range(region_len / CHUNK_BYTES - 1));
+            let at = seam + rng.gen_range(3) - 1;
+            let off = if rng.gen_bool(0.5) { Some(at) } else { at.checked_sub(len) };
+            if let Some(off) = off.filter(|&o| o + len <= region_len) {
+                return off;
+            }
+        }
+        rng.gen_range(region_len - len + 1)
+    }
+
+    /// `copy_from` against reading the span out of the source pool and
+    /// writing it into the destination: same bytes, same residency and
+    /// same resident digest after every copy. Sources are unbacked,
+    /// unmaterialized, materialized but zero, and nonzero; spans cross a
+    /// page seam on the source side, the destination side, or both; some
+    /// destinations are unbacked.
+    #[test]
+    fn copy_from_matches_read_then_write() {
+        const SRC_LEN: u64 = 8 * CHUNK_BYTES + 100;
+        const DST_LEN: u64 = 8 * CHUNK_BYTES + 37;
+        let mut rng = simcore::SimRng::new(0xc0b1);
+        let mut src = MemoryPool::new();
+        let src_unbacked = src.register_unbacked(0, SRC_LEN);
+        let mut src_backed = src.register(0, SRC_LEN);
+        let (mut fast, mut reference) = (MemoryPool::new(), MemoryPool::new());
+        for pool in [&mut fast, &mut reference] {
+            pool.register(0, DST_LEN);
+            pool.register_unbacked(0, DST_LEN);
+        }
+        let (dst_backed, dst_unbacked) = (MrId(0), MrId(1));
+        // Kinds of source page a span starts on, and seam crossings.
+        let mut kinds = [0u32; 4];
+        let (mut src_seams, mut dst_seams) = (0u32, 0u32);
+        for step in 0..4_000u64 {
+            if step % 400 == 0 {
+                // A fresh source, every page unmaterialized again.
+                src.deregister(src_backed);
+                src_backed = src.register(0, SRC_LEN);
+            }
+            if rng.gen_bool(0.2) {
+                // Reshape the source: nonzero bytes, or zeros that leave a
+                // materialized page reading as zeros.
+                let len = 1 + rng.gen_range(2 * CHUNK_BYTES);
+                let off = seam_biased(&mut rng, SRC_LEN, len);
+                let fill = if rng.gen_bool(0.4) { 0 } else { 1 + rng.gen_range(255) as u8 };
+                src.write(src_backed, off, &vec![fill; len as usize]);
+                continue;
+            }
+            let s = if rng.gen_bool(0.2) { src_unbacked } else { src_backed };
+            let d = if rng.gen_bool(0.1) { dst_unbacked } else { dst_backed };
+            let len = rng.gen_range(2 * CHUNK_BYTES);
+            let (soff, doff) =
+                (seam_biased(&mut rng, SRC_LEN, len), seam_biased(&mut rng, DST_LEN, len));
+            let bytes = src.read(s, soff, len);
+            let piece = bytes.len().min((CHUNK_BYTES - soff % CHUNK_BYTES) as usize);
+            let kind = match &src.expect_region(s).backing {
+                Backing::Unbacked => 0,
+                Backing::Sparse(chunks) => match chunk(chunks, (soff / CHUNK_BYTES) as usize) {
+                    None => 1,
+                    Some(_) if bytes[..piece].iter().all(|&b| b == 0) => 2,
+                    Some(_) => 3,
+                },
+            };
+            kinds[kind] += u32::from(len > 0);
+            let crosses = |off: u64| len > 0 && off / CHUNK_BYTES != (off + len - 1) / CHUNK_BYTES;
+            src_seams += u32::from(crosses(soff));
+            dst_seams += u32::from(crosses(doff));
+            fast.copy_from(d, doff, &src, s, soff, len);
+            reference.write(d, doff, &bytes);
+            assert_same_pools(&fast, &reference, step);
+        }
+        assert!(kinds.iter().all(|&n| n > 100), "source kinds {kinds:?}");
+        assert!(src_seams > 100 && dst_seams > 100, "seams {src_seams} / {dst_seams}");
+    }
+
+    /// Same residency, resident digests and bytes in every region.
+    fn assert_same_pools(a: &MemoryPool, b: &MemoryPool, step: u64) {
+        assert_eq!(a.resident_bytes(), b.resident_bytes(), "step {step}: pool residency");
+        for (mr, r) in a.iter() {
+            let other = b.region(mr).expect("same regions");
+            assert_eq!(r.resident_bytes(), other.resident_bytes(), "step {step}: {mr:?}");
+            assert_eq!(a.resident_digest(mr), b.resident_digest(mr), "step {step}: {mr:?}");
+            assert!(a.read(mr, 0, r.len) == b.read(mr, 0, r.len), "step {step}: {mr:?} bytes");
+        }
     }
 
     #[test]

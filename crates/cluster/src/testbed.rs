@@ -70,6 +70,9 @@ struct Connection {
     server: Endpoint,
     server_qpn: QpNum,
     transport: Transport,
+    /// Sockets of the client's and the server's NIC ports
+    /// ([`ClusterConfig::port_socket`]), fixed when the QPs are bound.
+    port_sockets: (usize, usize),
 }
 
 /// One machine: its NIC, its registered memory, and an RPC-serving CPU.
@@ -102,8 +105,6 @@ pub struct Testbed {
     /// Reused CQE buffer backing `post_one`/`post_one_ref` — one
     /// allocation for the testbed's lifetime, not one per verb.
     cqe_scratch: Vec<Completion>,
-    /// Reused gather/scatter staging buffer for data effects.
-    data_scratch: Vec<u8>,
     /// When set, the race oracle records every one-sided verb's DMA span
     /// (see [`Testbed::set_checked`]).
     checked: bool,
@@ -135,7 +136,6 @@ impl Testbed {
             machines,
             conns: Vec::new(),
             cqe_scratch: Vec::new(),
-            data_scratch: Vec::new(),
             checked: false,
             component: Vec::new(),
             stepping: 0,
@@ -228,7 +228,15 @@ impl Testbed {
             _ => self.machines[server.machine].rnic.create_qp(server.port),
         };
         let id = ConnId(self.conns.len() as u32);
-        self.conns.push(Connection { client, client_qpn, server, server_qpn, transport });
+        let port_sockets = (self.cfg.port_socket(client.port), self.cfg.port_socket(server.port));
+        self.conns.push(Connection {
+            client,
+            client_qpn,
+            server,
+            server_qpn,
+            transport,
+            port_sockets,
+        });
         id
     }
 
@@ -286,6 +294,7 @@ impl Testbed {
         self.guard(conn, client.machine, server.machine);
         let (client_qpn, server_qpn) = (c.client_qpn, c.server_qpn);
         let transport = c.transport;
+        let (client_port_socket, server_port_socket) = c.port_sockets;
         for wr in wrs {
             match (transport, &wr.kind) {
                 (Transport::Rc, _) => {}
@@ -294,10 +303,7 @@ impl Testbed {
                 (t, k) => panic!("verb {k:?} is not supported on {t:?} (§II-A)"),
             }
         }
-        let mut data = std::mem::take(&mut self.data_scratch);
         let cfg = &self.cfg;
-        let client_port_socket = cfg.port_socket(client.port);
-        let server_port_socket = cfg.port_socket(server.port);
 
         let (cm, sm) = pair_of(&mut self.machines, client.machine, server.machine);
         let mark = cm.rnic.raise_horizon(self.horizon).max(sm.rnic.raise_horizon(self.horizon));
@@ -312,18 +318,19 @@ impl Testbed {
 
         for (i, wr) in wrs.iter().enumerate() {
             assert!(wr.sgl.len() <= cfg.rnic.max_sge, "SGL exceeds max_sge");
+            let payload = wr.payload_bytes();
             // Subsequent WQEs of a doorbell batch stream over PCIe. An
             // inlined payload costs the CPU an extra copy into the WQE.
             let mut wqe_ready = t_door + cfg.rnic.doorbell_wqe_fetch * i as u64;
-            if wr.payload_bytes() <= cfg.rnic.inline_max
+            if payload <= cfg.rnic.inline_max
                 && wr.sgl.len() == 1
                 && matches!(wr.kind, VerbKind::Write | VerbKind::Send)
             {
-                wqe_ready += cfg.host.memcpy_cost(wr.payload_bytes() as usize);
+                wqe_ready += cfg.host.memcpy_cost(payload as usize);
             }
 
             // Validate before spending hardware time on data movement.
-            if let Some(status) = validate(cm, sm, wr) {
+            if let Some(status) = validate(cm, sm, wr, payload) {
                 if wr.signaled {
                     completions.push(Completion {
                         wr_id: wr.wr_id,
@@ -334,8 +341,6 @@ impl Testbed {
                 }
                 continue;
             }
-
-            let payload = wr.payload_bytes();
 
             // Requester pipeline: QPC reloads and MTT-miss fills stall the
             // WQE (occupancy); the rest of each miss's latency overlaps
@@ -402,7 +407,7 @@ impl Testbed {
                     }
                     // Data effect (Send carries no remote address).
                     if let (VerbKind::Write, Some((rkey, off))) = (&wr.kind, wr.remote) {
-                        write_effect(cm, sm, wr, MrId(rkey.0 as u32), off, &mut data);
+                        write_effect(cm, sm, wr, MrId(rkey.0 as u32), off);
                     }
                     match transport {
                         // RC: the ACK round trip defines completion.
@@ -439,7 +444,7 @@ impl Testbed {
                     }
                     // Data effect.
                     if let Some((rkey, off)) = wr.remote {
-                        read_effect(cm, sm, wr, MrId(rkey.0 as u32), off, &mut data);
+                        read_effect(cm, sm, wr, MrId(rkey.0 as u32), off);
                     }
                     (landed, 0)
                 }
@@ -508,7 +513,6 @@ impl Testbed {
                 });
             }
         }
-        self.data_scratch = data;
     }
 
     /// Convenience: post one signaled WR and return its completion.
@@ -634,7 +638,6 @@ impl Testbed {
                     .collect(),
                 conns: self.conns.clone(),
                 cqe_scratch: Vec::new(),
-                data_scratch: Vec::new(),
                 checked: self.checked,
                 component: self.component.clone(),
                 stepping: self.stepping,
@@ -743,7 +746,9 @@ fn pair_of(machines: &mut [Machine], a: usize, b: usize) -> (&mut Machine, &mut 
     }
 }
 
-fn validate(cm: &Machine, sm: &Machine, wr: &WorkRequest) -> Option<CqeStatus> {
+/// The error a WR completes with, if any; `payload` is its
+/// [`WorkRequest::payload_bytes`].
+fn validate(cm: &Machine, sm: &Machine, wr: &WorkRequest, payload: u64) -> Option<CqeStatus> {
     for sge in &wr.sgl {
         if !cm.mem.check(sge.mr, sge.offset, sge.len) {
             return Some(CqeStatus::LocalProtectionError);
@@ -754,8 +759,7 @@ fn validate(cm: &Machine, sm: &Machine, wr: &WorkRequest) -> Option<CqeStatus> {
         _ => match wr.remote {
             Some((rkey, off)) => {
                 let mr = MrId(rkey.0 as u32);
-                let len = wr.payload_bytes();
-                if !sm.mem.check(mr, off, len) {
+                if !sm.mem.check(mr, off, payload) {
                     return Some(CqeStatus::RemoteAccessError);
                 }
                 if wr.kind.is_atomic() {
@@ -776,64 +780,31 @@ fn validate(cm: &Machine, sm: &Machine, wr: &WorkRequest) -> Option<CqeStatus> {
     }
 }
 
-/// Data effect of a Write: move each local SGE straight into the remote
-/// span. Every SGE view is a borrowed single-chunk slice in the common
-/// case (`scratch` is only touched when an SGE straddles a chunk seam),
-/// and the destination writes go through
-/// [`MemoryPool::write`]/[`MemoryPool::write_zeros`] so sparse-page
-/// materialization (including zero-write elision) follows the same rules
-/// as gathering the whole payload and writing it once — byte-identical
-/// *and* residency-identical (the test module holds that reference). An
-/// unbacked destination discards the write, so the gather is skipped
-/// entirely; an unbacked source SGE contributes zeros.
-fn write_effect(
-    cm: &Machine,
-    sm: &mut Machine,
-    wr: &WorkRequest,
-    dst_mr: MrId,
-    dst_off: u64,
-    scratch: &mut Vec<u8>,
-) {
-    if !sm.mem.region(dst_mr).expect("validated").is_backed() {
-        return;
-    }
-    let mut cursor = 0u64;
+/// Data effect of a Write: copy each local SGE straight into the remote
+/// span, page piece by page piece ([`MemoryPool::copy_from`]), with no
+/// staging buffer. Sparse-page materialization (including zero-write
+/// elision) follows the same rules as gathering the whole payload and
+/// writing it once — byte-identical *and* residency-identical (the test
+/// module holds that reference). An unbacked destination discards the
+/// write; an unbacked source SGE contributes zeros.
+fn write_effect(cm: &Machine, sm: &mut Machine, wr: &WorkRequest, dst_mr: MrId, dst_off: u64) {
+    let mut cursor = dst_off;
     for sge in &wr.sgl {
-        match cm.mem.read_view(sge.mr, sge.offset, sge.len, scratch) {
-            Some(src) => sm.mem.write(dst_mr, dst_off + cursor, src),
-            None => sm.mem.write_zeros(dst_mr, dst_off + cursor, sge.len),
-        }
+        sm.mem.copy_from(dst_mr, cursor, &cm.mem, sge.mr, sge.offset, sge.len);
         cursor += sge.len;
     }
 }
 
 /// Data effect of a Read: scatter the remote span straight into the local
-/// SGL (`scratch` is only touched when the span straddles a chunk seam).
-/// An unbacked remote source reads as zeros; unbacked local SGEs discard
-/// their share; destination writes share the sparse materialization rules
-/// with staging the span and scattering it, so both are byte- and
-/// residency-identical.
-fn read_effect(
-    cm: &mut Machine,
-    sm: &Machine,
-    wr: &WorkRequest,
-    src_mr: MrId,
-    src_off: u64,
-    scratch: &mut Vec<u8>,
-) {
-    match sm.mem.read_view(src_mr, src_off, wr.payload_bytes(), scratch) {
-        Some(src) => {
-            let mut cursor = 0usize;
-            for sge in &wr.sgl {
-                cm.mem.write(sge.mr, sge.offset, &src[cursor..cursor + sge.len as usize]);
-                cursor += sge.len as usize;
-            }
-        }
-        None => {
-            for sge in &wr.sgl {
-                cm.mem.write_zeros(sge.mr, sge.offset, sge.len);
-            }
-        }
+/// SGL, one SGE's share at a time. An unbacked remote source reads as
+/// zeros; unbacked local SGEs discard their share; destination writes
+/// share the sparse materialization rules with staging the span and
+/// scattering it, so both are byte- and residency-identical.
+fn read_effect(cm: &mut Machine, sm: &Machine, wr: &WorkRequest, src_mr: MrId, src_off: u64) {
+    let mut cursor = src_off;
+    for sge in &wr.sgl {
+        cm.mem.copy_from(sge.mr, sge.offset, &sm.mem, src_mr, cursor, sge.len);
+        cursor += sge.len;
     }
 }
 
@@ -1311,7 +1282,7 @@ mod tests {
         let (mut fast_c, mut fast_s) = diff_pair();
         let (mut ref_c, mut ref_s) = diff_pair();
         let mut rng = simcore::SimRng::new(0xDA7A);
-        let (mut scratch, mut staged) = (Vec::new(), Vec::new());
+        let mut staged = Vec::new();
         // Zero payloads onto never-written chunks stay elided: a gather of
         // never-written and unbacked bytes written into region 1's chunk
         // 3, then that chunk read back into a later span of the client's
@@ -1323,8 +1294,8 @@ mod tests {
         };
         let zero_read = WorkRequest::read(1, Sge::new(dst, off + span, span), rkey(dst), off);
         let before = (fast_c.mem.resident_bytes(), fast_s.mem.resident_bytes());
-        write_effect(&fast_c, &mut fast_s, &zero_write, dst, off, &mut scratch);
-        read_effect(&mut fast_c, &fast_s, &zero_read, dst, off, &mut scratch);
+        write_effect(&fast_c, &mut fast_s, &zero_write, dst, off);
+        read_effect(&mut fast_c, &fast_s, &zero_read, dst, off);
         let after = (fast_c.mem.resident_bytes(), fast_s.mem.resident_bytes());
         assert_eq!(after, before, "zero payloads materialized chunks");
 
@@ -1376,11 +1347,11 @@ mod tests {
             let resident_before = fast_c.mem.resident_bytes() + fast_s.mem.resident_bytes();
             staged.clear();
             if write {
-                write_effect(&fast_c, &mut fast_s, &wr, remote, roff, &mut scratch);
+                write_effect(&fast_c, &mut fast_s, &wr, remote, roff);
                 gather_bytes_into(&ref_c, &wr, &mut staged);
                 ref_s.mem.write(remote, roff, &staged);
             } else {
-                read_effect(&mut fast_c, &fast_s, &wr, remote, roff, &mut scratch);
+                read_effect(&mut fast_c, &fast_s, &wr, remote, roff);
                 ref_s.mem.read_into(remote, roff, payload, &mut staged);
                 scatter_bytes(&mut ref_c, &wr, &staged);
             }

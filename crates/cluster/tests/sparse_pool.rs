@@ -232,7 +232,7 @@ fn slot_table_growth_edges_match_dense_reference_model() {
         assert_reads_match(&pool, &model, a, off, 8);
     }
     pool.write(a, seam(4) + 8, &[0; 64]);
-    pool.write_zeros(a, seam(3) - 16, CHUNK_BYTES);
+    pool.write(a, seam(3) - 16, &[0; CHUNK_BYTES as usize]);
     pool.copy_within(b, seam(2), a, seam(4) - 100, 300);
     assert_eq!(pool.resident_bytes(), 0, "zero effects past the end must not materialize");
 
@@ -247,7 +247,7 @@ fn slot_table_growth_edges_match_dense_reference_model() {
     assert_reads_match(&pool, &model, a, seam(3), 2 * CHUNK_BYTES);
     // Past the grown end (chunks 4 and 5) zero effects are still elided.
     pool.write(a, seam(4) + 8, &[0; 64]);
-    pool.write_zeros(a, seam(5), tail);
+    pool.write(a, seam(5), &vec![0; tail as usize]);
     pool.copy_within(b, 0, a, seam(4) + 1, CHUNK_BYTES + 1);
     assert_eq!(pool.resident_bytes(), CHUNK_BYTES);
 
@@ -416,7 +416,7 @@ fn seam_offset(rng: &mut SimRng, len: u64, n: u64) -> u64 {
 
 /// `resident_digest` is defined over 64 KiB frames, so it does not depend
 /// on the page size: after a seeded soup of zero and nonzero writes,
-/// `write_zeros`, `copy_within` and `store_u64` (spans straddling page
+/// `copy_within` and `store_u64` (spans straddling page
 /// and 64 KiB seams, one region not a multiple of 64 KiB), every region's
 /// digest equals the frame reference's.
 #[test]
@@ -451,7 +451,7 @@ fn resident_digest_matches_frame_reference() {
                 pool.write(mr, off, &bytes);
                 frames.write(mr, off, &bytes);
             }
-            4 | 5 => pool.write_zeros(mr, off, n),
+            4 | 5 => pool.write(mr, off, &vec![0; n as usize]),
             6 | 7 => {
                 let j = (i + 1 + rng.gen_range(regions.len() as u64 - 1) as usize) % regions.len();
                 let (dst, dst_len) = (regions[j], lens[j]);
@@ -494,7 +494,7 @@ fn resident_digest_of_a_fixed_sequence_is_pinned() {
     pool.write(a, 9 * 4096 + 7, b"same frame, a later page");
     pool.write(a, FRAME - 6, b"straddles a frame seam");
     pool.write(a, 2 * FRAME + 10, &[0; 512]);
-    pool.write_zeros(a, 2 * FRAME, 4096);
+    pool.write(a, 2 * FRAME, &[0; 4096]);
     pool.copy_within(b, 0, a, 2 * FRAME + 40, 4096);
     pool.copy_within(a, 90, b, FRAME + 4096 - 20, 64);
     pool.store_u64(b, 4096 - 3, 0x0123_4567_89AB_CDEF);

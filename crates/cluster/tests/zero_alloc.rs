@@ -133,6 +133,56 @@ fn steady_state_posts_do_not_allocate() {
     assert_eq!(calls, 0, "verb hot path allocated {calls} times ({bytes} bytes)");
 }
 
+/// A WRITE whose payload reads as zeros (a source page never written,
+/// or one written and then zeroed) into a destination page never written
+/// allocates nothing and materializes nothing: the data effect passes the
+/// zeros along without staging them, and the destination stays a hole.
+#[test]
+fn zero_writes_into_holes_allocate_and_materialize_nothing() {
+    const PAGE: u64 = cluster::CHUNK_BYTES;
+    let mut tb = Testbed::new(ClusterConfig::two_machines());
+    let src = tb.register(0, 1, 1 << 16);
+    let dst = tb.register(1, 1, 1 << 16);
+    let conn = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
+    let rkey = RKey(dst.0 as u64);
+    // Source page 1 is materialized and holds zeros; the rest are holes.
+    tb.machine_mut(0).mem.write(src, PAGE, &[0xA5; 64]);
+    tb.machine_mut(0).mem.write(src, PAGE, &[0; 64]);
+    let resident =
+        |tb: &Testbed| (tb.machine(0).mem.resident_bytes(), tb.machine(1).mem.resident_bytes());
+    assert_eq!(resident(&tb), (PAGE, 0));
+    // (source offset, length, destination offset): inside the zeroed
+    // page, across its seam into a hole, inside a hole, and spans that
+    // cross destination seams.
+    let wrs: Vec<WorkRequest> = [
+        (PAGE + 8, 64, 0),
+        (2 * PAGE - 32, 64, 3 * PAGE),
+        (5 * PAGE, 200, 6 * PAGE - 100),
+        (PAGE, PAGE, 9 * PAGE + 1),
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, &(off, len, roff))| WorkRequest::write(i as u64, Sge::new(src, off, len), rkey, roff))
+    .collect();
+    let mut t = SimTime::ZERO;
+    let mut post_all = |tb: &mut Testbed| {
+        for wr in &wrs {
+            t = tb.post_one_ref(t, conn, wr).at;
+        }
+    };
+    // Warm up the CQE buffer, the MTT entries and the calendars.
+    for _ in 0..50 {
+        post_all(&mut tb);
+    }
+    let ((calls, bytes), ()) = allocs_during(|| {
+        for _ in 0..100 {
+            post_all(&mut tb);
+        }
+    });
+    assert_eq!(calls, 0, "zero writes allocated {calls} times ({bytes} bytes)");
+    assert_eq!(resident(&tb), (PAGE, 0), "zero writes materialized pages");
+}
+
 /// Steady-state *reads* of the sparse pool are allocation-free too: the
 /// zero-page fast path, `read_into` into grown scratch, `read_view`,
 /// `copy_within`, and `load_u64` must all stay off the heap once buffers

@@ -259,7 +259,8 @@ impl RnicConfig {
 
     /// Wire bytes for a payload: payload plus per-MTU-segment headers.
     pub fn wire_bytes(&self, payload: u64) -> u64 {
-        let segments = payload.div_ceil(self.mtu_bytes).max(1);
+        // Verb payloads mostly fit one MTU, which needs no division.
+        let segments = if payload <= self.mtu_bytes { 1 } else { payload.div_ceil(self.mtu_bytes) };
         payload + segments * self.header_bytes
     }
 

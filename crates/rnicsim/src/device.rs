@@ -161,12 +161,13 @@ impl Rnic {
     /// the inbound link re-serializes competing packets.
     pub fn deliver(&mut self, port: usize, depart: SimTime, payload: u64) -> SimTime {
         let bytes = self.cfg.wire_bytes(payload);
-        let ser = SimTime::from_ps(bytes * self.cfg.link_ps_per_byte());
-        // The sender finished serializing at `depart`; the head of the
-        // packet entered the fabric `ser` earlier and reaches this port
-        // `wire_fixed` later.
+        let link = &mut self.ports[port].link_rx;
+        // The sender finished serializing at `depart` at the same line
+        // rate; the head of the packet entered the fabric `ser` earlier
+        // and reaches this port `wire_fixed` later.
+        let ser = link.serialization(bytes);
         let head = (depart + self.cfg.wire_fixed).saturating_sub(ser);
-        let (_, drained) = self.ports[port].link_rx.transfer(self.horizon, head, bytes);
+        let (_, drained) = link.transfer(self.horizon, head, bytes);
         drained
     }
 

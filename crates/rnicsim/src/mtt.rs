@@ -12,7 +12,8 @@ use simcore::LruSet;
 /// LRU-cached page translations keyed by (MR, page index).
 pub struct MttCache {
     lru: LruSet,
-    page_bytes: u64,
+    /// log2 of the page size: a page index is one shift, not a division.
+    page_shift: u32,
 }
 
 impl MttCache {
@@ -20,14 +21,14 @@ impl MttCache {
     /// `entries` is at most 65,535, the `simcore::LruSet` cap.
     pub fn new(entries: usize, page_bytes: u64) -> Self {
         assert!(page_bytes.is_power_of_two(), "page size must be a power of two");
-        MttCache { lru: LruSet::new(entries), page_bytes }
+        MttCache { lru: LruSet::new(entries), page_shift: page_bytes.trailing_zeros() }
     }
 
     /// Touch every page overlapped by `[offset, offset + len)` of `mr`;
     /// returns how many lookups missed (each miss costs a host fetch).
     pub fn access(&mut self, mr: MrId, offset: u64, len: u64) -> u64 {
-        let first = offset / self.page_bytes;
-        let last = (offset + len.max(1) - 1) / self.page_bytes;
+        let first = offset >> self.page_shift;
+        let last = (offset + len.max(1) - 1) >> self.page_shift;
         let mut misses = 0;
         for page in first..=last {
             if !self.lru.access(self.key(mr, page)) {
@@ -40,8 +41,8 @@ impl MttCache {
     /// Pre-load translations for a span without counting misses (driver
     /// warming entries at registration time).
     pub fn warm(&mut self, mr: MrId, offset: u64, len: u64) {
-        let first = offset / self.page_bytes;
-        let last = (offset + len.max(1) - 1) / self.page_bytes;
+        let first = offset >> self.page_shift;
+        let last = (offset + len.max(1) - 1) >> self.page_shift;
         for page in first..=last {
             self.lru.warm(self.key(mr, page));
         }
@@ -59,7 +60,7 @@ impl MttCache {
 
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
+        1 << self.page_shift
     }
 
     /// Cache capacity in entries.

@@ -119,9 +119,7 @@ impl Eq for InlineSgl {}
 
 impl From<Sge> for InlineSgl {
     fn from(sge: Sge) -> Self {
-        let mut s = InlineSgl::new();
-        s.push(sge);
-        s
+        InlineSgl::from(std::slice::from_ref(&sge))
     }
 }
 
@@ -130,11 +128,9 @@ impl From<&[Sge]> for InlineSgl {
         if sges.len() > INLINE_SGES {
             return InlineSgl { inline: Default::default(), len: 0, spill: sges.to_vec() };
         }
-        let mut s = InlineSgl::new();
-        for &sge in sges {
-            s.push(sge);
-        }
-        s
+        let mut inline = [Sge::default(); INLINE_SGES];
+        inline[..sges.len()].copy_from_slice(sges);
+        InlineSgl { inline, len: sges.len() as u8, spill: Vec::new() }
     }
 }
 

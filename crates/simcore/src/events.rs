@@ -70,9 +70,22 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (e.at, e.payload))
     }
 
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+    /// Schedule `payload` at `at` and remove the earliest event, in one
+    /// step; dequeues exactly what `push` then `pop` would. When no
+    /// pending event fires at or before `at`, the new event is the
+    /// earliest and comes straight back without touching the heap (an
+    /// equal-time pending event was pushed earlier, so it fires first);
+    /// otherwise it takes the head's place with one sift.
+    pub fn push_pop(&mut self, at: SimTime, payload: T) -> (SimTime, T) {
+        match self.heap.peek_mut() {
+            Some(mut head) if head.at <= at => {
+                let next = Entry { at, seq: self.seq, payload };
+                self.seq += 1;
+                let earliest = std::mem::replace(&mut *head, next);
+                (earliest.at, earliest.payload)
+            }
+            _ => (at, payload),
+        }
     }
 
     /// Number of pending events.
@@ -127,11 +140,10 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_ns(7), ());
         q.push(SimTime::from_ns(3), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(3)));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(3), ())));
     }
 
     #[test]
@@ -207,7 +219,7 @@ mod tests {
             q.pop();
         }
         q.clear();
-        assert!(q.is_empty() && q.peek_time().is_none());
+        assert!(q.is_empty() && q.pop().is_none());
         let mut fresh = EventQueue::new();
         for i in 0..100u64 {
             let at = SimTime::from_ns(i % 7);
@@ -218,6 +230,33 @@ mod tests {
             assert_eq!(q.pop(), Some(e));
         }
         assert!(q.is_empty());
+    }
+
+    /// `push_pop` dequeues what `push` then `pop` does, on random
+    /// interleavings with plain pushes and pops and many equal times.
+    #[test]
+    fn push_pop_matches_push_then_pop() {
+        let mut rng = SimRng::new(0x905);
+        let (mut fused, mut plain) = (EventQueue::new(), EventQueue::new());
+        for i in 0..20_000u64 {
+            let at = SimTime::from_ns(i / 8 + rng.gen_range(16));
+            match rng.gen_range(4) {
+                0 => {
+                    fused.push(at, i);
+                    plain.push(at, i);
+                }
+                1 => assert_eq!(fused.pop(), plain.pop(), "step {i}"),
+                _ => {
+                    plain.push(at, i);
+                    assert_eq!(Some(fused.push_pop(at, i)), plain.pop(), "step {i}");
+                }
+            }
+            assert_eq!(fused.len(), plain.len());
+        }
+        while let Some(e) = plain.pop() {
+            assert_eq!(fused.pop(), Some(e));
+        }
+        assert!(fused.is_empty());
     }
 
     /// Oracle check: random interleavings of pushes and pops match a

@@ -363,7 +363,7 @@ impl TxnService {
                     let mut scanned = 0;
                     while scanned < n && !self.eligible(self.cursor) {
                         self.tenants[self.cursor].deficit = 0;
-                        self.cursor = (self.cursor + 1) % n;
+                        self.advance_cursor(n);
                         scanned += 1;
                     }
                     if scanned == n {
@@ -387,9 +387,18 @@ impl TxnService {
                     if self.tenants[t].pending.is_empty() {
                         self.tenants[t].deficit = 0;
                     }
-                    self.cursor = (self.cursor + 1) % n;
+                    self.advance_cursor(n);
                 }
             }
+        }
+    }
+
+    /// Move the DRR cursor to the next of `n` tenants, wrapping to the
+    /// first with a compare rather than a division.
+    fn advance_cursor(&mut self, n: usize) {
+        self.cursor += 1;
+        if self.cursor == n {
+            self.cursor = 0;
         }
     }
 
